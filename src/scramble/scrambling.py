@@ -1,30 +1,32 @@
 """OTOCs, Pauli-group averaged OTOCs, and the mutual-information bound report.
 
 The averaged OTOC treats the Pauli group as the operator-averaging surrogate
-for the Haar measure. Exact enumeration performs the A-register average
-analytically via the twirl identity
+for the Haar measure. The 4^n strings on n qubits satisfy the twirl identity
 
-    mean_{p_A} (p_A x I) X (p_A x I) = I_A/d_A  (x)  tr_A X,
+    sum_P P (x) P = 2^n SWAP,
 
-which is an identity on the full group (no approximation), leaving a single
-sum over the 4^n_B B-register strings. The literal double enumeration is
-retained in the test suite as an independent oracle.
+which turns each string average into a contraction of U(t) with itself. In
+the maximally mixed state the average is the operator purity of U across the
+A|B cut (Zanardi, PRA 63, 040304 (2001); Styliaris, Anand & Zanardi, PRL 126,
+030601 (2021)): realign U[(a',b'),(a,b)] into Y[(a',a),(b',b)], then
+
+    Obar = |Y Y^dag|_F^2 / d^2,
+
+one minus the linear operator entanglement of U. The initial-state
+expectation and the modified OTOC follow from the same identity. No string
+is ever enumerated; the literal double sum over every (A-string, B-string)
+pair stays in tests/_oracles.py as the independent oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .entropy import mutual_information, purity, renyi2_mutual_information
 from .qdense import (
-    ID2,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
     Bipartition,
     ComplexMatrix,
     DensityMatrix,
@@ -32,60 +34,32 @@ from .qdense import (
     check_density_matrix,
     eigh,
     kron,
-    seeded_rng,
+    partial_trace,
 )
 
-PAULI_BY_LABEL = {"I": ID2, "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
-
-ENUMERATION_BUDGET = 10**6
-OBAR_T0_TOL = 1e-12
 SLACK_TOL = -1e-9
 IMAG_TOL = 1e-9
 
 
-def pauli_labels(n: int) -> list[str]:
-    """All 4^n Pauli strings on n qubits, in canonical (I,X,Y,Z) lexicographic order."""
-    if n < 1:
-        raise ValueError("need at least one qubit")
-    labels = [""]
-    for _ in range(n):
-        labels = [s + p for s in labels for p in "IXYZ"]
-    return labels
-
-
-def pauli_matrix(label: str) -> ComplexMatrix:
-    """Dense realization of a Pauli string label."""
-    if not label or any(c not in PAULI_BY_LABEL for c in label):
-        raise ValueError(f"invalid Pauli label {label!r}")
-    return reduce(np.kron, (PAULI_BY_LABEL[c] for c in label))
-
-
-def pauli_stack(n: int) -> np.ndarray:
-    """All 4^n string matrices stacked as (4^n, 2^n, 2^n), canonical order."""
-    base = np.stack([ID2, SIGMA_X, SIGMA_Y, SIGMA_Z])
-    out = base
-    for _ in range(n - 1):
-        k, d, _ = out.shape
-        out = np.einsum("kab,pcd->kpacbd", out, base).reshape(4 * k, 2 * d, 2 * d)
-    return out
-
-
 @dataclass(frozen=True)
 class OtocConfig:
-    """Expectation-state and averaging choices for operator-averaged OTOCs."""
+    """Expectation-state choice for operator-averaged OTOCs.
+
+    ``averaging`` accepts only "exact_enumeration": the exact Pauli-group
+    average, evaluated in closed form.
+    """
 
     expectation_state: str = "maximally_mixed"
     averaging: str = "exact_enumeration"
-    samples: int = 0
-    seed: int = 0
 
     def __post_init__(self):
         if self.expectation_state not in ("maximally_mixed", "initial_state"):
-            raise ValueError(f"unknown expectation_state {self.expectation_state!r}")
-        if self.averaging not in ("exact_enumeration", "monte_carlo"):
-            raise ValueError(f"unknown averaging {self.averaging!r}")
-        if self.averaging == "monte_carlo" and self.samples < 1:
-            raise ValueError("monte_carlo averaging needs samples >= 1")
+            raise ValueError(f"expectation_state: unknown value {self.expectation_state!r}")
+        if self.averaging != "exact_enumeration":
+            raise ValueError(
+                f"averaging: unknown value {self.averaging!r}; "
+                "only 'exact_enumeration' is supported"
+            )
 
 
 def otoc(
@@ -114,34 +88,6 @@ def otoc(
     return complex(np.trace(state @ big_a.conj().T @ big_b_t.conj().T @ big_a @ big_b_t))
 
 
-def _embedded_b_stack(part: Bipartition) -> np.ndarray:
-    """(4^n_B, d, d) stack of I_A x p_B over the B-register Pauli group."""
-    stack = pauli_stack(part.n_b)
-    eye_a = np.eye(part.dim_a, dtype=complex)
-    k = stack.shape[0]
-    out = np.einsum("ij,kab->kiajb", eye_a, stack).reshape(k, part.dim, part.dim)
-    return out
-
-
-def _conjugate_stack(u_t: ComplexMatrix, stack: np.ndarray) -> np.ndarray:
-    """U^dag P U for every P in the stack (broadcast BLAS matmuls)."""
-    return np.matmul(np.matmul(u_t.conj().T, stack), u_t)
-
-
-def _trace_out_a(q: np.ndarray, part: Bipartition) -> np.ndarray:
-    blocks = q.reshape(-1, part.dim_a, part.dim_b, part.dim_a, part.dim_b)
-    return np.einsum("kaiaj->kij", blocks)
-
-
-def _check_enumeration_budget(part: Bipartition) -> None:
-    total = 4**part.n_a * 4**part.n_b
-    if total > ENUMERATION_BUDGET:
-        raise ValueError(
-            f"exact enumeration over {total} Pauli string pairs exceeds the "
-            f"budget of {ENUMERATION_BUDGET}; use monte_carlo averaging"
-        )
-
-
 def averaged_otoc(
     part: Bipartition,
     u_t: ComplexMatrix,
@@ -156,60 +102,23 @@ def averaged_otoc(
     u_t = as_complex_matrix(u_t)
     if u_t.shape != (part.dim, part.dim):
         raise ValueError(f"unitary shape {u_t.shape} does not match partition dim {part.dim}")
-    if cfg.expectation_state == "initial_state":
-        if state is None:
-            raise ValueError("initial_state expectation requires a state")
-        state = check_density_matrix(state)
-        if state.shape != (part.dim, part.dim):
-            raise ValueError("expectation state dimension does not match partition")
-    if cfg.averaging == "monte_carlo":
-        return _averaged_otoc_monte_carlo(part, u_t, cfg, state)
-    _check_enumeration_budget(part)
-    embedded = _embedded_b_stack(part)
-    q = _conjugate_stack(u_t, embedded)
-    m = _trace_out_a(q, part)
+    d_a, d_b = part.dim_a, part.dim_b
     if cfg.expectation_state == "maximally_mixed":
-        # (1/(d*d_A)) mean_k tr(M_k^2); M Hermitian so tr(M^2) = |M|_F^2.
-        total = float(np.einsum("kij,kij->", m, m.conj()).real)
-        return total / (m.shape[0] * part.dim * part.dim_a)
-    eye_a = np.eye(part.dim_a, dtype=complex)
-    big_m = np.einsum("ij,kab->kiajb", eye_a, m).reshape(m.shape[0], part.dim, part.dim)
-    vals = np.einsum("ij,kjl,kli->k", state, big_m, q) / part.dim_a
-    mean = complex(vals.mean())
-    if abs(mean.imag) > IMAG_TOL:
-        raise ValueError(f"averaged OTOC imaginary residue {mean.imag:.3e} exceeds tolerance")
-    return float(mean.real)
-
-
-def _averaged_otoc_monte_carlo(
-    part: Bipartition,
-    u_t: ComplexMatrix,
-    cfg: OtocConfig,
-    state: DensityMatrix | None,
-) -> float:
-    """Uniform independent draws of (A-string, B-string); serial-order mean."""
-    rng = seeded_rng(cfg.seed)
-    idx_a = rng.integers(0, 4**part.n_a, size=cfg.samples)
-    idx_b = rng.integers(0, 4**part.n_b, size=cfg.samples)
-    stack_a = pauli_stack(part.n_a)
-    stack_b = pauli_stack(part.n_b)
-    eye_a = np.eye(part.dim_a, dtype=complex)
-    eye_b = np.eye(part.dim_b, dtype=complex)
+        y = u_t.reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3).reshape(d_a * d_a, d_b * d_b)
+        # |Y Y^dag|_F = |Y^dag Y|_F: form the Gram matrix on the smaller side.
+        gram = y @ y.conj().T if d_a <= d_b else y.conj().T @ y
+        return float(np.vdot(gram, gram).real) / part.dim**2
     if state is None:
-        rho = np.eye(part.dim, dtype=complex) / part.dim
-    else:
-        rho = state
-    total = 0.0 + 0.0j
-    chunk = max(1, 2**22 // (part.dim * part.dim))
-    for lo in range(0, cfg.samples, chunk):
-        sel_a = stack_a[idx_a[lo : lo + chunk]]
-        sel_b = stack_b[idx_b[lo : lo + chunk]]
-        big_a = np.einsum("kab,ij->kaibj", sel_a, eye_b).reshape(-1, part.dim, part.dim)
-        big_b = np.einsum("ij,kab->kiajb", eye_a, sel_b).reshape(-1, part.dim, part.dim)
-        q = _conjugate_stack(u_t, big_b)
-        prod = np.matmul(np.matmul(big_a, q), np.matmul(big_a, q))
-        total += complex(np.einsum("ij,kji->", rho, prod))
-    mean = total / cfg.samples
+        raise ValueError("initial_state expectation requires a state")
+    state = check_density_matrix(state)
+    if state.shape != (part.dim, part.dim):
+        raise ValueError("expectation state dimension does not match partition")
+    # The identity applied to both string sums: two contractions of U with U^dag.
+    v = u_t.reshape(d_a, d_b, d_a, d_b)
+    r = (u_t @ state).reshape(d_a, d_b, d_a, d_b)
+    s1 = np.einsum("xyab,zycb->xazc", r, v.conj())
+    s2 = np.einsum("xyab,zycb->xazc", v, v.conj())
+    mean = complex(np.einsum("xazc,zcxa->", s1, s2)) / part.dim
     if abs(mean.imag) > IMAG_TOL:
         raise ValueError(f"averaged OTOC imaginary residue {mean.imag:.3e} exceeds tolerance")
     return float(mean.real)
@@ -237,8 +146,10 @@ def modified_otoc(
     """State-transfer OTOC with O_1 = |psi><phi| on the first qubit.
 
     Averages over the supplied phi set (default: six stabilizer states) and
-    the B-register Pauli strings, in the maximally mixed expectation state;
-    returns the real part. Its t = 0 value is exactly 1/2.
+    the B-register Pauli strings, in the maximally mixed expectation state.
+    The string average is exact: sum_P tr(X Q_P Y Q_P) with Q_P = U^dag P U
+    equals d_B tr(tr_B(U X U^dag) tr_B(U Y U^dag)), and with X = O_1^dag,
+    Y = O_1 that is d_B |tr_B(U O_1 U^dag)|_F^2. Its t = 0 value is exactly 1/2.
     """
     if part.n_a != 1:
         raise ValueError("the state-transfer OTOC requires a single-qubit A subsystem")
@@ -250,17 +161,13 @@ def modified_otoc(
     if psi is None:
         psi = np.array([1.0, 0.0], dtype=complex)
     psi = np.asarray(psi, dtype=complex)
-    embedded = _embedded_b_stack(part)
-    q = _conjugate_stack(u_t, embedded)
     eye_b = np.eye(part.dim_b, dtype=complex)
-    total = 0.0 + 0.0j
+    total = 0.0
     for phi in phi_set:
         omega = np.outer(psi, np.asarray(phi, dtype=complex).conj())
-        o1 = np.kron(omega, eye_b)
-        o1h = o1.conj().T
-        vals = np.einsum("ij,kjl,lm,kmi->k", o1h, q, o1, q)
-        total += vals.mean()
-    return float((total / len(phi_set)).real) / part.dim
+        k = partial_trace(u_t @ np.kron(omega, eye_b) @ u_t.conj().T, part, "A")
+        total += np.vdot(k, k).real
+    return float(total) / (len(phi_set) * part.dim * part.dim_b)
 
 
 @dataclass

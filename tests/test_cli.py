@@ -224,6 +224,8 @@ def test_validate_reports_json_syntax_position(tmp_path, capsys):
         (lambda c: c.update(workers=0), "workers"),
         (lambda c: c.update(otoc={"averaging": "quadrature"}), "otoc"),
         (lambda c: c.update(otoc={"samples": "many"}), "otoc.samples"),
+        (lambda c: c.update(otoc={"averagign": "exact_enumeration"}), "otoc.averagign"),
+        (lambda c: c.update(otoc={"averaging": "monte_carlo"}), "otoc.averaging"),
         (lambda c: c.update(modified_otoc="yes"), "modified_otoc"),
         (lambda c: c.pop("circuit"), "circuit"),
         (lambda c: c.update(circuit="builtin:teleporter"), "builtin"),

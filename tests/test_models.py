@@ -356,12 +356,13 @@ def test_syk_trajectory_partition_mismatch():
 
 
 def test_syk_trajectory_honors_otoc_config():
+    # The default expectation state averages cleanly; the initial-state
+    # expectation on SYK dynamics leaves a complex average, so the error can
+    # only come from the otoc_cfg reaching the realizations.
     cfg = syk_config(realizations=1)
     part = Bipartition(1, 2)
-    _, exact = syk_trajectory(cfg, part, zero_state(3))
-    _, mc = syk_trajectory(
-        cfg, part, zero_state(3),
-        otoc_cfg=OtocConfig(averaging="monte_carlo", samples=20000, seed=9),
-    )
-    np.testing.assert_allclose(mc.obar, exact.obar, atol=0.03)
-    assert np.abs(mc.obar - exact.obar).max() > 0.0
+    syk_trajectory(cfg, part, zero_state(3))
+    with pytest.raises(ValueError, match="imaginary residue"):
+        syk_trajectory(
+            cfg, part, zero_state(3), otoc_cfg=OtocConfig(expectation_state="initial_state")
+        )

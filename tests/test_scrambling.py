@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from _oracles import (
     averaged_otoc_literal,
@@ -26,9 +24,6 @@ from scramble.scrambling import (
     bound_report,
     modified_otoc,
     otoc,
-    pauli_labels,
-    pauli_matrix,
-    pauli_stack,
     stabilizer_states,
 )
 
@@ -36,46 +31,13 @@ ZZ = np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
-def test_pauli_labels_enumeration():
-    labels = pauli_labels(2)
-    assert len(labels) == 16
-    assert labels[0] == "II"
-    assert labels == sorted(labels, key=lambda s: ["IXYZ".index(c) for c in s])
-
-
-def test_pauli_matrix_algebra():
-    for label in pauli_labels(2):
-        p = pauli_matrix(label)
-        np.testing.assert_allclose(p, p.conj().T, atol=1e-14)
-        np.testing.assert_allclose(p @ p, np.eye(4), atol=1e-14)
-        expected_trace = 4.0 if label == "II" else 0.0
-        assert abs(np.trace(p) - expected_trace) < 1e-14
-
-
-def test_pauli_stack_matches_single_matrices():
-    stack = pauli_stack(2)
-    labels = pauli_labels(2)
-    assert stack.shape == (16, 4, 4)
-    for k, label in enumerate(labels):
-        np.testing.assert_array_equal(stack[k], pauli_matrix(label))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 63), st.integers(0, 63))
-def test_pauli_strings_are_orthogonal(i, j):
-    stack = pauli_stack(3)
-    overlap = np.trace(stack[i].conj().T @ stack[j])
-    expected = 8.0 if i == j else 0.0
-    assert abs(overlap - expected) < 1e-12
-
-
 def test_otoc_config_validation():
     with pytest.raises(ValueError):
         OtocConfig(expectation_state="thermal")
     with pytest.raises(ValueError):
         OtocConfig(averaging="quadrature")
-    with pytest.raises(ValueError):
-        OtocConfig(averaging="monte_carlo", samples=0)
+    with pytest.raises(ValueError, match="averaging"):
+        OtocConfig(averaging="monte_carlo")
 
 
 @pytest.mark.parametrize("t", [0.0, 0.15, 0.3, 0.8, 1.7])
@@ -92,7 +54,9 @@ def test_otoc_dimension_mismatch():
         otoc(SIGMA_X, SIGMA_X, np.eye(8), np.eye(8) / 8)
 
 
-@pytest.mark.parametrize("n_a,n_b,seed", [(1, 1, 0), (1, 2, 1), (2, 1, 2), (2, 2, 3)])
+@pytest.mark.parametrize(
+    "n_a,n_b,seed", [(1, 1, 0), (1, 2, 1), (2, 1, 2), (2, 2, 3), (1, 3, 4), (3, 1, 5)]
+)
 def test_averaged_otoc_matches_literal_double_sum(n_a, n_b, seed):
     part = Bipartition(n_a, n_b)
     u = haar_unitary(part.dim, seeded_rng(100, seed))
@@ -150,30 +114,14 @@ def test_averaged_otoc_initial_state_requires_state():
         averaged_otoc(part, np.eye(4), OtocConfig(expectation_state="initial_state"))
 
 
-def test_averaged_otoc_monte_carlo_tracks_exact():
-    part = Bipartition(1, 2)
-    h = random_hermitian(part.dim, seeded_rng(300))
-    u = evolve_unitary(h, 0.6)
-    exact = averaged_otoc(part, u, OtocConfig())
-    mc = averaged_otoc(part, u, OtocConfig(averaging="monte_carlo", samples=20000, seed=5))
-    assert mc == pytest.approx(exact, abs=0.02)
-    mc0 = averaged_otoc(
-        part, evolve_unitary(h, 0.0), OtocConfig(averaging="monte_carlo", samples=500, seed=5)
-    )
-    assert mc0 == pytest.approx(1.0, abs=1e-9)
-
-
-def test_averaged_otoc_monte_carlo_is_seed_deterministic():
-    part = Bipartition(1, 1)
-    u = haar_unitary(4, seeded_rng(301))
-    cfg = OtocConfig(averaging="monte_carlo", samples=4000, seed=17)
-    assert averaged_otoc(part, u, cfg) == averaged_otoc(part, u, cfg)
-
-
-def test_enumeration_budget_guard():
-    part = Bipartition(5, 6)
-    with pytest.raises(ValueError, match="budget"):
-        averaged_otoc(part, np.eye(part.dim), OtocConfig())
+@pytest.mark.parametrize("n_a,n_b", [(1, 9), (5, 5)])
+def test_averaged_otoc_ten_qubit_product_unitary(n_a, n_b):
+    # A product unitary creates no operator entanglement across the cut, so
+    # every string pair commutes back and the average is exactly 1.
+    part = Bipartition(n_a, n_b)
+    rng = seeded_rng(302, n_a)
+    u = np.kron(haar_unitary(part.dim_a, rng), haar_unitary(part.dim_b, rng))
+    assert abs(averaged_otoc(part, u, OtocConfig()) - 1.0) < 1e-12
 
 
 def test_stabilizer_states_form_a_2_design():
@@ -192,7 +140,7 @@ def test_modified_otoc_half_at_time_zero():
     assert modified_otoc(part, evolve_unitary(h, 0.0)) == pytest.approx(0.5, abs=1e-12)
 
 
-@pytest.mark.parametrize("n_b,seed", [(1, 0), (2, 1)])
+@pytest.mark.parametrize("n_b,seed", [(1, 0), (2, 1), (3, 2)])
 def test_modified_otoc_matches_literal(n_b, seed):
     part = Bipartition(1, n_b)
     u = haar_unitary(part.dim, seeded_rng(500, seed))
