@@ -28,12 +28,26 @@ from .models import (
     scrambler_preset,
     syk_trajectory,
 )
-from .qdense import SIGMA_X, SIGMA_Z, Bipartition, kron_all, seeded_rng, random_hermitian
-from .scrambling import SLACK_TOL, OtocConfig, ScramblingReport, bound_report
-
-OBAR_T0_TOL = 1e-12
+from .qdense import (
+    OBAR_T0_TOL,
+    SIGMA_X,
+    SIGMA_Z,
+    SLACK_TOL,
+    Bipartition,
+    kron_all,
+    random_hermitian,
+    seeded_rng,
+)
+from .scrambling import OtocConfig, bound_report
 
 KINDS = ("syk", "circuit", "bound8", "otoc-sweep")
+# CSV columns in file order; a run writes those its channel table holds.
+COLUMNS = ("t", "I", "I2", "Obar", "deltaO", "deltaMO", "Idot", "SdotA", "SdotB", "SdotE",
+           "slack9", "slack8")
+# The slack channel whose violation stops a run, per kind. On a generic
+# Hamiltonian trajectory (bound8) slack9 is a diagnostic only.
+ASSERTED_SLACK = {"syk": "slack9", "circuit": "slack9", "otoc-sweep": "slack9",
+                  "bound8": "slack8"}
 BUILTIN_CIRCUITS = {"scrambler3": scrambler_preset, "entangler2": entangler2_preset}
 
 
@@ -229,37 +243,14 @@ def _format_row(values) -> str:
     return ",".join(f"{v:.16e}" for v in values)
 
 
-def write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
+def write_csv(path: str, table: dict[str, np.ndarray]) -> None:
+    """One row per time sample; the COLUMNS present in ``table``, in order."""
+    header = [c for c in COLUMNS if c in table]
     lines = [",".join(header)]
-    for i in range(len(columns[0])):
-        lines.append(_format_row(col[i] for col in columns))
+    for i in range(len(table["t"])):
+        lines.append(_format_row(table[c][i] for c in header))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def _scrambling_columns(rep: ScramblingReport, include_modified: bool):
-    header = ["t", "I", "I2", "Obar", "deltaO"]
-    cols = [rep.times, rep.mutual_info, rep.renyi2_mi, rep.obar, rep.delta_obar]
-    if include_modified:
-        header.append("deltaMO")
-        cols.append(rep.delta_modified)
-    return header, cols
-
-
-def _check_obar_origin(rep: ScramblingReport) -> None:
-    if abs(rep.obar[0] - 1.0) > OBAR_T0_TOL:
-        raise AssertionViolation(
-            f"Obar(0) = {rep.obar[0]:.17g} deviates from 1 beyond {OBAR_T0_TOL}"
-        )
-
-
-def _check_scrambling_assertions(rep: ScramblingReport) -> None:
-    idx = rep.first_slack_violation(SLACK_TOL)
-    if idx is not None:
-        raise AssertionViolation(
-            f"slack9 = {rep.slack[idx]:.3e} below {SLACK_TOL} first at t = {rep.times[idx]!r}"
-        )
-    _check_obar_origin(rep)
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[dict, str]:
@@ -288,64 +279,47 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dict, str]:
                 raise ConfigError(f"SCRAMBLE_WORKERS: not an integer: {env!r}") from None
             _expect(workers >= 1, "SCRAMBLE_WORKERS: must be at least 1")
         initial = _zero_state(cfg.syk.n_qubits)
-        reports, avg = syk_trajectory(cfg.syk, cfg.partition, initial,
-                                      otoc_cfg=cfg.otoc, workers=workers)
+        reports, table = syk_trajectory(cfg.syk, cfg.partition, initial,
+                                        otoc_cfg=cfg.otoc, workers=workers)
         summary["seeds"]["disorder_streams"] = "(base, realization_index)"
         summary["workers"] = workers
         summary["violations"]["per_realization_slack9"] = int(
-            sum(np.count_nonzero(r.slack < SLACK_TOL) for r in reports)
+            sum(np.count_nonzero(r["slack9"] < SLACK_TOL) for r in reports)
         )
-        header, cols = _scrambling_columns(avg, False)
-        header.append("slack9")
-        cols.append(avg.slack)
-        write_csv(csv_path, header, cols)
-        summary["violations"]["slack9"] = int(np.count_nonzero(avg.slack < SLACK_TOL))
-        summary["runtime_seconds"] = time.perf_counter() - started
-        _check_scrambling_assertions(avg)
-        return summary, csv_path
-
-    if cfg.kind in ("circuit", "otoc-sweep"):
+    elif cfg.kind in ("circuit", "otoc-sweep"):
         initial = _zero_state(cfg.partition.n_qubits)
         family = circuit_unitary_family(cfg.circuit)
-        rep = bound_report(family, cfg.partition, initial, cfg.times,
-                           cfg=cfg.otoc, include_modified=cfg.modified)
-        header, cols = _scrambling_columns(rep, cfg.modified)
-        header.append("slack9")
-        cols.append(rep.slack)
-        write_csv(csv_path, header, cols)
+        table = bound_report(family, cfg.partition, initial, cfg.times,
+                             cfg=cfg.otoc, include_modified=cfg.modified)
         summary["circuit"] = cfg.circuit_ref
-        summary["violations"]["slack9"] = int(np.count_nonzero(rep.slack < SLACK_TOL))
         if cfg.kind == "otoc-sweep":
-            gap = np.abs(np.exp(-rep.renyi2_mi) - rep.obar)
+            gap = np.abs(np.exp(-table["I2"]) - table["Obar"])
             summary["exp_neg_i2_vs_obar"] = {"max": float(gap.max()), "mean": float(gap.mean())}
-        summary["runtime_seconds"] = time.perf_counter() - started
-        _check_scrambling_assertions(rep)
-        return summary, csv_path
+    else:
+        # bound8: scrambling channels from the pure start, rate channels from
+        # the delta-regularized twin of the same trajectory.
+        h = _bound8_hamiltonian(cfg)
+        initial = _zero_state(cfg.partition.n_qubits)
+        table = {**bound_report(h, cfg.partition, initial, cfg.times, cfg=cfg.otoc),
+                 **bound8_report(h, regularize(initial, cfg.delta), cfg.partition, cfg.times)}
+        summary["model"] = cfg.model
+        summary["delta"] = cfg.delta
 
-    # bound8: scrambling channels from the pure start, rate channels from the
-    # delta-regularized twin of the same trajectory.
-    h = _bound8_hamiltonian(cfg)
-    initial = _zero_state(cfg.partition.n_qubits)
-    rep = bound_report(h, cfg.partition, initial, cfg.times, cfg=cfg.otoc)
-    rates = bound8_report(h, regularize(initial, cfg.delta), cfg.partition, cfg.times)
-    header = ["t", "I", "I2", "Obar", "deltaO", "Idot", "SdotA", "SdotB", "SdotE",
-              "slack9", "slack8"]
-    cols = [rep.times, rep.mutual_info, rep.renyi2_mi, rep.obar, rep.delta_obar,
-            rates.i_dot, rates.s_dot_a, rates.s_dot_b, rates.s_dot_e,
-            rep.slack, rates.slack]
-    write_csv(csv_path, header, cols)
-    summary["model"] = cfg.model
-    summary["delta"] = cfg.delta
-    # The mutual-information bound is a scrambling-trajectory statement; on a
-    # generic Hamiltonian trajectory the slack9 channel is diagnostic only.
-    summary["violations"]["slack9"] = int(np.count_nonzero(rep.slack < SLACK_TOL))
-    summary["violations"]["slack8"] = rates.violations
+    write_csv(csv_path, table)
+    for name in ("slack9", "slack8"):
+        if name in table:
+            summary["violations"][name] = int(np.count_nonzero(table[name] < SLACK_TOL))
     summary["runtime_seconds"] = time.perf_counter() - started
-    _check_obar_origin(rep)
-    idx = rates.first_slack_violation(SLACK_TOL)
-    if idx is not None:
+    slack = ASSERTED_SLACK[cfg.kind]
+    bad = np.nonzero(table[slack] < SLACK_TOL)[0]
+    if bad.size:
+        i = bad[0]
         raise AssertionViolation(
-            f"slack8 = {rates.slack[idx]:.3e} below {SLACK_TOL} first at t = {rates.times[idx]!r}"
+            f"{slack} = {table[slack][i]:.3e} below {SLACK_TOL} first at t = {table['t'][i]!r}"
+        )
+    if abs(table["Obar"][0] - 1.0) > OBAR_T0_TOL:
+        raise AssertionViolation(
+            f"Obar(0) = {table['Obar'][0]:.17g} deviates from 1 beyond {OBAR_T0_TOL}"
         )
     return summary, csv_path
 

@@ -9,15 +9,14 @@ from __future__ import annotations
 import numpy as np
 
 from .qdense import (
+    ENTROPY_FLOOR,
+    PURITY_TOL,
     Bipartition,
     DensityMatrix,
     check_density_matrix,
     clamp_spectrum,
     partial_trace,
 )
-
-ENTROPY_FLOOR = -1e-9
-PURITY_TOL = 1e-8
 
 
 def _clamp_entropy(value: float, name: str) -> float:

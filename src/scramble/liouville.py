@@ -9,16 +9,18 @@ attached to Liouville index m = (r, c) is read off the row part r.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .qdense import (
+    HERMITICITY_TOL,
+    IMAG_TOL,
+    PAIR_CUTOFF,
+    RANK_TOL,
     Bipartition,
     ComplexMatrix,
     DensityMatrix,
-    HERMITICITY_TOL,
     as_complex_matrix,
     check_density_matrix,
     eigh,
@@ -26,9 +28,6 @@ from .qdense import (
     partial_trace,
 )
 
-RANK_TOL = 1e-9
-PAIR_CUTOFF = 1e-12
-IMAG_TOL = 1e-9
 DEFAULT_DELTA = 1e-6
 
 
@@ -48,6 +47,18 @@ def _marginal_eigensystems(rho_s: DensityMatrix, part: Bipartition):
     return wa[::-1], va[:, ::-1], wb[::-1], vb[:, ::-1]
 
 
+def _full_rank_marginals(rho_s: DensityMatrix, part: Bipartition):
+    """The marginal eigensystems; refuses a marginal below RANK_TOL."""
+    wa, va, wb, vb = _marginal_eigensystems(rho_s, part)
+    for evals, label in ((wa, "A"), (wb, "B")):
+        if evals.min() < RANK_TOL:
+            raise ValueError(
+                f"marginal {label} is rank deficient (min eigenvalue {evals.min():.3e}); "
+                "regularize the state first (see regularize())"
+            )
+    return wa, va, wb, vb
+
+
 def instantaneous_basis(rho_s: DensityMatrix, part: Bipartition) -> ComplexMatrix:
     """V = V_A x V_B diagonalizing both marginals, eigenvalues descending."""
     rho_s = check_density_matrix(rho_s, "rho_S")
@@ -57,15 +68,7 @@ def instantaneous_basis(rho_s: DensityMatrix, part: Bipartition) -> ComplexMatri
     return kron(va, vb)
 
 
-@dataclass
-class Liouvillian:
-    """Skew-Hermitian generator W in a stated product eigenbasis."""
-
-    w: ComplexMatrix
-    basis: ComplexMatrix
-
-
-def build_liouvillian(h: ComplexMatrix, basis: ComplexMatrix | None = None) -> Liouvillian:
+def build_liouvillian(h: ComplexMatrix, basis: ComplexMatrix | None = None) -> ComplexMatrix:
     """W = -i (H x I - I x H^T) with H first rotated into ``basis``."""
     h = as_complex_matrix(h)
     dev = np.abs(h - h.conj().T).max()
@@ -76,16 +79,7 @@ def build_liouvillian(h: ComplexMatrix, basis: ComplexMatrix | None = None) -> L
         basis = np.eye(d, dtype=complex)
     h_rot = basis.conj().T @ h @ basis
     eye = np.eye(d, dtype=complex)
-    w = -1j * (np.kron(h_rot, eye) - np.kron(eye, h_rot.T))
-    return Liouvillian(w=w, basis=basis)
-
-
-def _check_full_rank(evals: np.ndarray, label: str) -> None:
-    if evals.min() < RANK_TOL:
-        raise ValueError(
-            f"marginal {label} is rank deficient (min eigenvalue {evals.min():.3e}); "
-            "regularize the state first (see regularize())"
-        )
+    return -1j * (np.kron(h_rot, eye) - np.kron(eye, h_rot.T))
 
 
 def _log_marginal(evals: np.ndarray, vecs: ComplexMatrix) -> ComplexMatrix:
@@ -102,9 +96,7 @@ def mutual_information_rate(h: ComplexMatrix, rho_s: DensityMatrix, part: Bipart
     rho_s = check_density_matrix(rho_s, "rho_S")
     if rho_s.shape != (part.dim, part.dim) or h.shape != rho_s.shape:
         raise ValueError("dimension mismatch between H, state, and partition")
-    wa, va, wb, vb = _marginal_eigensystems(rho_s, part)
-    _check_full_rank(wa, "A")
-    _check_full_rank(wb, "B")
+    wa, va, wb, vb = _full_rank_marginals(rho_s, part)
     comm = h @ rho_s - rho_s @ h
     ln_terms = kron(_log_marginal(wa, va), np.eye(part.dim_b)) + kron(
         np.eye(part.dim_a), _log_marginal(wb, vb)
@@ -115,48 +107,27 @@ def mutual_information_rate(h: ComplexMatrix, rho_s: DensityMatrix, part: Bipart
     return float(val.real)
 
 
-@dataclass
-class EntropyRates:
-    """Rate channels of the entropy-production bound at one instant."""
-
-    i_dot: float
-    s_dot_a: float
-    s_dot_b: float
-    s_dot_e: float
-    coeff_a: float
-    coeff_b: float
-    coeff_c: float
-
-    @property
-    def bound_rhs(self) -> float:
-        return self.coeff_a * self.s_dot_a + self.coeff_b * self.s_dot_b + self.coeff_c * self.s_dot_e
-
-    @property
-    def slack(self) -> float:
-        return self.bound_rhs - self.i_dot
-
-
 def entropy_production_rates(
     h: ComplexMatrix, rho_s: DensityMatrix, part: Bipartition
-) -> EntropyRates:
+) -> dict[str, float]:
     """Local entropy-production sums, exchange term, and geometry coefficients.
 
     All sums run over ordered Liouville index pairs (m, m'), skipping pairs
     where either |W| entry is below the cutoff; logs are principal-branch.
-    The exchange channel is reported as s_dot_e = S_E^A + S_E^B with coeff_c
+    The exchange channel is reported as SdotE = S_E^A + S_E^B with coeffC
     the matching weighted ratio, preserving the weighted product exactly.
+    Keys are the channel names: Idot, SdotA, SdotB, SdotE, coeffA, coeffB,
+    coeffC, bound_rhs = coeffA SdotA + coeffB SdotB + coeffC SdotE, and
+    slack8 = bound_rhs - Idot.
     """
     h = as_complex_matrix(h)
     rho_s = check_density_matrix(rho_s, "rho_S")
     if rho_s.shape != (part.dim, part.dim) or h.shape != rho_s.shape:
         raise ValueError("dimension mismatch between H, state, and partition")
     d, d_b = part.dim, part.dim_b
-    wa, va, wb, vb = _marginal_eigensystems(rho_s, part)
-    _check_full_rank(wa, "A")
-    _check_full_rank(wb, "B")
+    wa, va, wb, vb = _full_rank_marginals(rho_s, part)
     basis = kron(va, vb)
-    liou = build_liouvillian(h, basis)
-    w = liou.w
+    w = build_liouvillian(h, basis)
     wt = w.T
     rho_vec = (basis.conj().T @ rho_s @ basis).reshape(-1)
 
@@ -187,38 +158,11 @@ def entropy_production_rates(
     s_dot_e = s_e_a + s_e_b
     coeff_c = (coeff_a * s_e_a + coeff_b * s_e_b) / s_dot_e if s_dot_e > 0.0 else 0.0
 
-    return EntropyRates(
-        i_dot=mutual_information_rate(h, rho_s, part),
-        s_dot_a=s_dot_a,
-        s_dot_b=s_dot_b,
-        s_dot_e=s_dot_e,
-        coeff_a=coeff_a,
-        coeff_b=coeff_b,
-        coeff_c=coeff_c,
-    )
-
-
-@dataclass
-class Bound8Report:
-    """Rate channels sampled along a trajectory, with bound-slack summary."""
-
-    times: np.ndarray
-    i_dot: np.ndarray
-    s_dot_a: np.ndarray
-    s_dot_b: np.ndarray
-    s_dot_e: np.ndarray
-    coeff_a: np.ndarray
-    coeff_b: np.ndarray
-    coeff_c: np.ndarray
-    slack: np.ndarray
-
-    def first_slack_violation(self, tol: float = -1e-9) -> int | None:
-        bad = np.nonzero(self.slack < tol)[0]
-        return int(bad[0]) if bad.size else None
-
-    @property
-    def violations(self) -> int:
-        return int(np.count_nonzero(self.slack < -1e-9))
+    i_dot = mutual_information_rate(h, rho_s, part)
+    bound_rhs = coeff_a * s_dot_a + coeff_b * s_dot_b + coeff_c * s_dot_e
+    return {"Idot": i_dot, "SdotA": s_dot_a, "SdotB": s_dot_b, "SdotE": s_dot_e,
+            "coeffA": coeff_a, "coeffB": coeff_b, "coeffC": coeff_c,
+            "bound_rhs": bound_rhs, "slack8": bound_rhs - i_dot}
 
 
 def bound8_report(
@@ -226,34 +170,22 @@ def bound8_report(
     initial: DensityMatrix,
     part: Bipartition,
     times: Sequence[float],
-) -> Bound8Report:
+) -> dict[str, np.ndarray]:
     """Sample the entropy-production bound along exp(-iHt) evolution.
 
     ``initial`` must already be full-rank on both marginals (regularize a
     pure start first); every sample evaluates the rates in that instant's
-    marginal eigenbasis.
+    marginal eigenbasis. Returns ``t`` and each entropy_production_rates
+    channel as an array over the grid.
     """
     h = as_complex_matrix(h)
     initial = check_density_matrix(initial, "initial")
     times = np.asarray(times, dtype=float)
-    wa, _, wb, _ = _marginal_eigensystems(initial, part)
-    _check_full_rank(wa, "A")
-    _check_full_rank(wb, "B")
+    _full_rank_marginals(initial, part)
     evals, vecs = eigh(h)
     vecs_h = vecs.conj().T
-    n = times.size
-    chans = {k: np.empty(n) for k in
-             ("i_dot", "s_dot_a", "s_dot_b", "s_dot_e", "coeff_a", "coeff_b", "coeff_c", "slack")}
-    for i, t in enumerate(times):
+    samples = []
+    for t in times:
         u = (vecs * np.exp(-1j * evals * t)) @ vecs_h
-        rho_t = u @ initial @ u.conj().T
-        rates = entropy_production_rates(h, rho_t, part)
-        chans["i_dot"][i] = rates.i_dot
-        chans["s_dot_a"][i] = rates.s_dot_a
-        chans["s_dot_b"][i] = rates.s_dot_b
-        chans["s_dot_e"][i] = rates.s_dot_e
-        chans["coeff_a"][i] = rates.coeff_a
-        chans["coeff_b"][i] = rates.coeff_b
-        chans["coeff_c"][i] = rates.coeff_c
-        chans["slack"][i] = rates.slack
-    return Bound8Report(times=times, **chans)
+        samples.append(entropy_production_rates(h, u @ initial @ u.conj().T, part))
+    return {"t": times, **{k: np.array([r[k] for r in samples]) for k in samples[0]}}

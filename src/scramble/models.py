@@ -19,6 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .qdense import (
+    GATE_UNITARITY_TOL,
     ID2,
     SIGMA_X,
     SIGMA_Y,
@@ -29,9 +30,7 @@ from .qdense import (
     kron_all,
     seeded_rng,
 )
-from .scrambling import OtocConfig, ScramblingReport, bound_report
-
-GATE_UNITARITY_TOL = 1e-12
+from .scrambling import OtocConfig, bound_report
 
 # Entries beyond this are rebuilt per realization instead of cached stacked.
 _TERM_STACK_LIMIT = 4_000_000
@@ -357,31 +356,18 @@ def parse_circuit_json(text: str) -> CircuitSpec:
 # Disorder-averaged trajectories
 
 
-def _syk_realization(args) -> ScramblingReport:
+def _syk_realization(args) -> dict[str, np.ndarray]:
     cfg, part, initial, otoc_cfg, k = args
     h = build_syk_hamiltonian(cfg, k)
     return bound_report(h, part, initial, cfg.time_grid, otoc_cfg)
 
 
-def average_reports(reports: Sequence[ScramblingReport]) -> ScramblingReport:
+def average_reports(reports: Sequence[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
     """Pointwise channel mean, taken in list (realization-index) order."""
-    times = reports[0].times
-    mi = np.mean([r.mutual_info for r in reports], axis=0)
-    mi2 = np.mean([r.renyi2_mi for r in reports], axis=0)
-    obar = np.mean([r.obar for r in reports], axis=0)
-    delta = np.mean([r.delta_obar for r in reports], axis=0)
-    mo = None
-    if all(r.delta_modified is not None for r in reports):
-        mo = np.mean([r.delta_modified for r in reports], axis=0)
-    return ScramblingReport(
-        times=times,
-        mutual_info=mi,
-        renyi2_mi=mi2,
-        obar=obar,
-        delta_obar=delta,
-        slack=mi - delta,
-        delta_modified=mo,
-    )
+    avg = {k: np.mean([r[k] for r in reports], axis=0) for k in reports[0]}
+    avg["t"] = reports[0]["t"]
+    avg["slack9"] = avg["I"] - avg["deltaO"]
+    return avg
 
 
 def syk_trajectory(
@@ -390,8 +376,8 @@ def syk_trajectory(
     initial: DensityMatrix,
     otoc_cfg: OtocConfig | None = None,
     workers: int = 1,
-) -> tuple[list[ScramblingReport], ScramblingReport]:
-    """Per-realization reports plus the realization-averaged report.
+) -> tuple[list[dict[str, np.ndarray]], dict[str, np.ndarray]]:
+    """Per-realization channel tables plus their realization average.
 
     Realizations are independent work units; with workers > 1 they run in a
     process pool, and the reduction is always taken in realization-index

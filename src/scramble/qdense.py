@@ -15,9 +15,18 @@ import numpy as np
 ComplexMatrix = np.ndarray
 DensityMatrix = np.ndarray
 
+# Every numerical tolerance of the package; other modules import from here.
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
-EIGENVALUE_FLOOR = -1e-10
+EIGENVALUE_FLOOR = -1e-10  # spectrum entries in [floor, 0) are round-off
+ENTROPY_FLOOR = -1e-9  # entropies in [floor, 0) are clamped to 0
+PURITY_TOL = 1e-8  # tr(rho^2) >= 1 - tol counts as pure
+IMAG_TOL = 1e-9  # largest imaginary residue dropped from a real quantity
+RANK_TOL = 1e-9  # smallest marginal eigenvalue the rate channels accept
+PAIR_CUTOFF = 1e-12  # Liouville entries at or below this are skipped in pair sums
+GATE_UNITARITY_TOL = 1e-12
+SLACK_TOL = -1e-9  # a bound slack below this is a violation
+OBAR_T0_TOL = 1e-12  # allowed |Obar(0) - 1|
 
 # Single-qubit operator basis, reused across modules.
 ID2 = np.eye(2, dtype=complex)

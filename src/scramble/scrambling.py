@@ -27,6 +27,8 @@ import numpy as np
 
 from .entropy import mutual_information, purity, renyi2_mutual_information
 from .qdense import (
+    IMAG_TOL,
+    PURITY_TOL,
     Bipartition,
     ComplexMatrix,
     DensityMatrix,
@@ -36,9 +38,6 @@ from .qdense import (
     kron,
     partial_trace,
 )
-
-SLACK_TOL = -1e-9
-IMAG_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -170,24 +169,6 @@ def modified_otoc(
     return float(total) / (len(phi_set) * part.dim * part.dim_b)
 
 
-@dataclass
-class ScramblingReport:
-    """Sampled trajectory of the information/OTOC channels and bound slack."""
-
-    times: np.ndarray
-    mutual_info: np.ndarray
-    renyi2_mi: np.ndarray
-    obar: np.ndarray
-    delta_obar: np.ndarray
-    slack: np.ndarray
-    delta_modified: np.ndarray | None = None
-
-    def first_slack_violation(self, tol: float = SLACK_TOL) -> int | None:
-        """Index of the first sample with slack below tol, or None."""
-        bad = np.nonzero(self.slack < tol)[0]
-        return int(bad[0]) if bad.size else None
-
-
 def _unitary_supplier(h_or_unitary) -> Callable[[float], ComplexMatrix]:
     if callable(h_or_unitary):
         return h_or_unitary
@@ -209,12 +190,14 @@ def bound_report(
     cfg: OtocConfig | None = None,
     include_modified: bool = False,
     psi: np.ndarray | None = None,
-) -> ScramblingReport:
+) -> dict[str, np.ndarray]:
     """Evolve a pure product state and sample every bound-9 channel.
 
     ``h_or_unitary`` is either a Hermitian generator (U(t) = exp(-iHt)) or a
     callable t -> U(t). The grid must start at t = 0 so the averaged-OTOC
-    baseline is its own first sample.
+    baseline is its own first sample. Returns the channels keyed by their CSV
+    column names: t, I, I2, Obar, deltaO, slack9 = I - deltaO, and deltaMO
+    when ``include_modified`` is set.
     """
     cfg = cfg or OtocConfig()
     times = np.asarray(times, dtype=float)
@@ -223,12 +206,12 @@ def bound_report(
     initial = check_density_matrix(initial, "initial")
     if initial.shape != (part.dim, part.dim):
         raise ValueError("initial state dimension does not match partition")
-    if purity(initial) < 1.0 - 1e-8:
+    if purity(initial) < 1.0 - PURITY_TOL:
         raise ValueError("initial state must be pure")
     rho_a = np.asarray(initial, dtype=complex).reshape(
         part.dim_a, part.dim_b, part.dim_a, part.dim_b
     )
-    if purity(np.einsum("ibjb->ij", rho_a)) < 1.0 - 1e-8:
+    if purity(np.einsum("ibjb->ij", rho_a)) < 1.0 - PURITY_TOL:
         raise ValueError("initial state must be a product across the A|B cut")
 
     u_of_t = _unitary_supplier(h_or_unitary)
@@ -247,13 +230,8 @@ def bound_report(
         if mo is not None:
             mo[i] = modified_otoc(part, u, psi=psi)
     delta_obar = obar[0] - obar
-    delta_modified = None if mo is None else 1.0 - mo / mo[0]
-    return ScramblingReport(
-        times=times,
-        mutual_info=mi,
-        renyi2_mi=mi2,
-        obar=obar,
-        delta_obar=delta_obar,
-        slack=mi - delta_obar,
-        delta_modified=delta_modified,
-    )
+    table = {"t": times, "I": mi, "I2": mi2, "Obar": obar, "deltaO": delta_obar,
+             "slack9": mi - delta_obar}
+    if mo is not None:
+        table["deltaMO"] = 1.0 - mo / mo[0]
+    return table

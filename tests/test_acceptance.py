@@ -266,7 +266,7 @@ def test_criterion_8_liouvillian_structure():
         rng = seeded_rng(1200, i)
         h = random_hermitian(dim, rng)
         rho = random_density(dim, rng)
-        w = build_liouvillian(h).w
+        w = build_liouvillian(h)
         action = (w @ rho.reshape(-1)).reshape(dim, dim)
         commutator = -1j * (h @ rho - rho @ h)
         worst_action = max(worst_action, np.abs(action - commutator).max())

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from scramble import cli
-from scramble.scrambling import ScramblingReport
 
 CELL = re.compile(r"^-?\d\.\d{16}e[+-]\d{2,3}$")
 
@@ -334,16 +333,57 @@ def test_obar_origin_violation_exits_3(tmp_path, capsys):
 
 def test_slack_violation_exits_3_naming_first_sample(tmp_path, capsys, monkeypatch):
     times = np.array([0.0, 0.2, 0.4])
-    fake = ScramblingReport(
-        times=times,
-        mutual_info=np.zeros(3),
-        renyi2_mi=np.zeros(3),
-        obar=np.array([1.0, 0.4, 0.3]),
-        delta_obar=np.array([0.0, 0.6, 0.7]),
-        slack=np.array([0.0, -0.6, -0.7]),
-    )
+    fake = {
+        "t": times,
+        "I": np.zeros(3),
+        "I2": np.zeros(3),
+        "Obar": np.array([1.0, 0.4, 0.3]),
+        "deltaO": np.array([0.0, 0.6, 0.7]),
+        "slack9": np.array([0.0, -0.6, -0.7]),
+    }
     monkeypatch.setattr(cli, "bound_report", lambda *a, **k: fake)
     cfg = base_circuit_config(tmp_path, modified_otoc=False)
     assert cli.main(["run", write_config(tmp_path, cfg)]) == 3
     err = capsys.readouterr().err
     assert "slack9" in err and "0.2" in err
+
+
+def bound8_config(tmp_path):
+    return {
+        "kind": "bound8",
+        "partition": {"n_a": 1, "n_b": 1},
+        "time_grid": {"start": 0.0, "stop": 1.0, "samples": 3},
+        "model": {"type": "random"},
+        "seed": 11,
+        "output": str(tmp_path / "b8"),
+    }
+
+
+def test_bound8_slack8_violation_exits_3(tmp_path, capsys, monkeypatch):
+    fake = {name: np.ones(3) for name in ("Idot", "SdotA", "SdotB", "SdotE")}
+    fake["t"] = np.array([0.0, 0.5, 1.0])
+    fake["slack8"] = np.array([1.0, -0.5, -1.0])
+    monkeypatch.setattr(cli, "bound8_report", lambda *a, **k: fake)
+    cfg = bound8_config(tmp_path)
+    assert cli.main(["run", write_config(tmp_path, cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "slack8" in err and "0.5" in err
+    assert (tmp_path / "b8.csv").exists()
+    assert not (tmp_path / "b8.json").exists()
+
+
+def test_bound8_slack9_is_diagnostic_only(tmp_path, monkeypatch):
+    fake = {
+        "t": np.array([0.0, 0.5, 1.0]),
+        "I": np.zeros(3),
+        "I2": np.zeros(3),
+        "Obar": np.array([1.0, 0.4, 0.3]),
+        "deltaO": np.array([0.0, 0.6, 0.7]),
+        "slack9": np.array([0.0, -0.6, -0.7]),
+    }
+    monkeypatch.setattr(cli, "bound_report", lambda *a, **k: fake)
+    cfg = bound8_config(tmp_path)
+    assert cli.main(["run", write_config(tmp_path, cfg)]) == 0
+    summary = json.loads((tmp_path / "b8.json").read_text())
+    assert summary["violations"]["slack9"] == 2
+    assert summary["violations"]["slack8"] == 0

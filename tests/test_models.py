@@ -26,7 +26,7 @@ from scramble.models import (
     validate_circuit,
 )
 from scramble.qdense import Bipartition, haar_state, kron_all, partial_trace, seeded_rng
-from scramble.scrambling import OtocConfig, ScramblingReport
+from scramble.scrambling import OtocConfig
 
 
 # --- Jordan-Wigner Majoranas -------------------------------------------------
@@ -305,22 +305,23 @@ def test_parse_circuit_json_diagnostics(text, match):
 def make_report(mi, delta):
     mi = np.asarray(mi, dtype=float)
     delta = np.asarray(delta, dtype=float)
-    return ScramblingReport(
-        times=np.arange(mi.size, dtype=float),
-        mutual_info=mi,
-        renyi2_mi=mi / 2,
-        obar=1.0 - delta,
-        delta_obar=delta,
-        slack=mi - delta,
-    )
+    return {
+        "t": np.arange(mi.size, dtype=float),
+        "I": mi,
+        "I2": mi / 2,
+        "Obar": 1.0 - delta,
+        "deltaO": delta,
+        "slack9": mi - delta,
+    }
 
 
 def test_average_reports_pointwise_mean():
     avg = average_reports([make_report([0.0, 0.4], [0.0, 0.1]),
                            make_report([0.0, 0.8], [0.0, 0.3])])
-    np.testing.assert_allclose(avg.mutual_info, [0.0, 0.6])
-    np.testing.assert_allclose(avg.delta_obar, [0.0, 0.2])
-    np.testing.assert_allclose(avg.slack, avg.mutual_info - avg.delta_obar)
+    np.testing.assert_allclose(avg["I"], [0.0, 0.6])
+    np.testing.assert_allclose(avg["deltaO"], [0.0, 0.2])
+    np.testing.assert_allclose(avg["slack9"], avg["I"] - avg["deltaO"])
+    np.testing.assert_array_equal(avg["t"], [0.0, 1.0])
 
 
 def zero_state(n: int) -> np.ndarray:
@@ -335,9 +336,9 @@ def test_syk_trajectory_reports_and_average():
     reports, avg = syk_trajectory(cfg, part, zero_state(3))
     assert len(reports) == cfg.realizations
     ref = average_reports(reports)
-    np.testing.assert_array_equal(avg.mutual_info, ref.mutual_info)
-    np.testing.assert_array_equal(avg.slack, ref.slack)
-    assert abs(avg.obar[0] - 1.0) < 1e-12
+    np.testing.assert_array_equal(avg["I"], ref["I"])
+    np.testing.assert_array_equal(avg["slack9"], ref["slack9"])
+    assert abs(avg["Obar"][0] - 1.0) < 1e-12
 
 
 def test_syk_trajectory_worker_count_invariance():
@@ -345,8 +346,9 @@ def test_syk_trajectory_worker_count_invariance():
     part = Bipartition(1, 2)
     _, serial = syk_trajectory(cfg, part, zero_state(3), workers=1)
     _, pooled = syk_trajectory(cfg, part, zero_state(3), workers=2)
-    for name in ("times", "mutual_info", "renyi2_mi", "obar", "delta_obar", "slack"):
-        np.testing.assert_array_equal(getattr(serial, name), getattr(pooled, name))
+    assert set(serial) == set(pooled) == {"t", "I", "I2", "Obar", "deltaO", "slack9"}
+    for name in serial:
+        np.testing.assert_array_equal(serial[name], pooled[name])
 
 
 def test_syk_trajectory_partition_mismatch():
