@@ -14,7 +14,6 @@ from typing import Sequence
 import numpy as np
 
 from .qdense import (
-    HERMITICITY_TOL,
     IMAG_TOL,
     PAIR_CUTOFF,
     RANK_TOL,
@@ -23,6 +22,7 @@ from .qdense import (
     DensityMatrix,
     as_complex_matrix,
     check_density_matrix,
+    check_hermitian,
     eigh,
     kron,
     partial_trace,
@@ -62,18 +62,13 @@ def _full_rank_marginals(rho_s: DensityMatrix, part: Bipartition):
 def instantaneous_basis(rho_s: DensityMatrix, part: Bipartition) -> ComplexMatrix:
     """V = V_A x V_B diagonalizing both marginals, eigenvalues descending."""
     rho_s = check_density_matrix(rho_s, "rho_S")
-    if rho_s.shape != (part.dim, part.dim):
-        raise ValueError("state dimension does not match partition")
     _, va, _, vb = _marginal_eigensystems(rho_s, part)
     return kron(va, vb)
 
 
 def build_liouvillian(h: ComplexMatrix, basis: ComplexMatrix | None = None) -> ComplexMatrix:
     """W = -i (H x I - I x H^T) with H first rotated into ``basis``."""
-    h = as_complex_matrix(h)
-    dev = np.abs(h - h.conj().T).max()
-    if dev > HERMITICITY_TOL:
-        raise ValueError(f"Hamiltonian not Hermitian: max deviation {dev:.3e}")
+    h = check_hermitian(h, "Hamiltonian")
     d = h.shape[0]
     if basis is None:
         basis = np.eye(d, dtype=complex)
@@ -120,10 +115,7 @@ def entropy_production_rates(
     coeffC, bound_rhs = coeffA SdotA + coeffB SdotB + coeffC SdotE, and
     slack8 = bound_rhs - Idot.
     """
-    h = as_complex_matrix(h)
-    rho_s = check_density_matrix(rho_s, "rho_S")
-    if rho_s.shape != (part.dim, part.dim) or h.shape != rho_s.shape:
-        raise ValueError("dimension mismatch between H, state, and partition")
+    i_dot = mutual_information_rate(h, rho_s, part)  # validates h, rho_s and part
     d, d_b = part.dim, part.dim_b
     wa, va, wb, vb = _full_rank_marginals(rho_s, part)
     basis = kron(va, vb)
@@ -158,7 +150,6 @@ def entropy_production_rates(
     s_dot_e = s_e_a + s_e_b
     coeff_c = (coeff_a * s_e_a + coeff_b * s_e_b) / s_dot_e if s_dot_e > 0.0 else 0.0
 
-    i_dot = mutual_information_rate(h, rho_s, part)
     bound_rhs = coeff_a * s_dot_a + coeff_b * s_dot_b + coeff_c * s_dot_e
     return {"Idot": i_dot, "SdotA": s_dot_a, "SdotB": s_dot_b, "SdotE": s_dot_e,
             "coeffA": coeff_a, "coeffB": coeff_b, "coeffC": coeff_c,

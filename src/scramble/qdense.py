@@ -3,7 +3,9 @@
 Everything downstream (entropies, correlators, superoperators) runs on plain
 complex128 numpy arrays; this module owns the conventions: qubit 0 is the
 first tensor factor, hbar = 1, eigenvector phases are deterministic, and all
-randomness flows through explicitly seeded PCG64 generators.
+randomness flows through explicitly seeded PCG64 generators. A public entry
+point validates each caller-supplied state once; a function never re-validates
+a state it derived itself.
 """
 
 from __future__ import annotations
@@ -73,14 +75,20 @@ def as_complex_matrix(a) -> ComplexMatrix:
     return m
 
 
+def check_hermitian(m: ComplexMatrix, name: str = "matrix") -> ComplexMatrix:
+    """Coerce to a square complex matrix that is Hermitian to tolerance."""
+    m = as_complex_matrix(m)
+    if m.shape[0] != m.shape[1]:
+        raise ValueError(f"{name} must be square, got {m.shape}")
+    dev = np.abs(m - m.conj().T).max()
+    if dev > HERMITICITY_TOL:
+        raise ValueError(f"{name} not Hermitian: max deviation {dev:.3e}")
+    return m
+
+
 def check_density_matrix(rho: DensityMatrix, name: str = "rho") -> DensityMatrix:
     """Validate Hermiticity, unit trace and positivity (to tolerance)."""
-    rho = as_complex_matrix(rho)
-    if rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"{name} must be square, got {rho.shape}")
-    herm = np.abs(rho - rho.conj().T).max()
-    if herm > HERMITICITY_TOL:
-        raise ValueError(f"{name} not Hermitian: max deviation {herm:.3e}")
+    rho = check_hermitian(rho, name)
     tr = rho.trace()
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"{name} trace {tr} differs from 1")
@@ -135,10 +143,7 @@ def _fix_phases(vecs: np.ndarray) -> np.ndarray:
 
 def eigh(h: ComplexMatrix) -> tuple[np.ndarray, ComplexMatrix]:
     """Hermitian eigendecomposition, ascending eigenvalues, fixed phases."""
-    h = as_complex_matrix(h)
-    dev = np.abs(h - h.conj().T).max()
-    if dev > HERMITICITY_TOL:
-        raise ValueError(f"matrix not Hermitian: max deviation {dev:.3e}")
+    h = check_hermitian(h)
     evals, vecs = np.linalg.eigh(h)
     return evals, _fix_phases(vecs)
 

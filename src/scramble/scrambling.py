@@ -204,14 +204,10 @@ def bound_report(
     if times.size < 1 or times[0] != 0.0:
         raise ValueError("time grid must start at t = 0")
     initial = check_density_matrix(initial, "initial")
-    if initial.shape != (part.dim, part.dim):
-        raise ValueError("initial state dimension does not match partition")
+    rho_a = partial_trace(initial, part, "A")
     if purity(initial) < 1.0 - PURITY_TOL:
         raise ValueError("initial state must be pure")
-    rho_a = np.asarray(initial, dtype=complex).reshape(
-        part.dim_a, part.dim_b, part.dim_a, part.dim_b
-    )
-    if purity(np.einsum("ibjb->ij", rho_a)) < 1.0 - PURITY_TOL:
+    if purity(rho_a) < 1.0 - PURITY_TOL:
         raise ValueError("initial state must be a product across the A|B cut")
 
     u_of_t = _unitary_supplier(h_or_unitary)

@@ -295,3 +295,10 @@ def test_criterion_9_bitwise_determinism_across_worker_counts(syk_ci_run, tmp_pa
     rerun, *_ = _run_preset("fig3-syk-ci", tmp_path, env_workers=3)
     assert rerun == syk_ci_run["bytes"]
     print("criterion 9: disorder preset byte-identical across 1 vs 3 workers")
+
+
+@pytest.mark.parametrize("name", cli.preset_names())
+def test_preset_entropy_columns_have_no_negative_zero(name, syk_ci_run, tmp_path):
+    cols = syk_ci_run["cols"] if name == "fig3-syk-ci" else _run_preset(name, tmp_path)[1]
+    for channel in ("I", "I2"):
+        assert not np.signbit(cols[channel]).any(), channel

@@ -1,0 +1,111 @@
+"""Validation at the public boundary: bad input is refused, good input checked once."""
+
+import math
+
+import numpy as np
+import pytest
+
+from scramble import entropy, liouville, qdense, scrambling
+from scramble.entropy import (
+    mutual_information,
+    renyi2,
+    renyi2_mutual_information,
+    von_neumann,
+)
+from scramble.liouville import (
+    bound8_report,
+    build_liouvillian,
+    entropy_production_rates,
+    regularize,
+)
+from scramble.qdense import (
+    Bipartition,
+    check_density_matrix,
+    eigh,
+    random_hermitian,
+    seeded_rng,
+)
+from scramble.scrambling import bound_report
+
+PART = Bipartition(1, 1)
+H = random_hermitian(PART.dim, seeded_rng(3))
+
+
+def _non_hermitian():
+    rho = np.eye(4, dtype=complex) / 4
+    rho[0, 1] = 0.1
+    return rho
+
+
+BAD_STATES = {
+    "non_hermitian": (_non_hermitian(), "not Hermitian"),
+    "trace_2": (np.eye(4, dtype=complex) / 2, "trace"),
+    "negative_eigenvalue": (np.diag([0.6, 0.6, 0.1, -0.3]).astype(complex),
+                            "positive semidefinite"),
+}
+
+ENTRY_POINTS = {
+    "von_neumann": lambda rho: von_neumann(rho),
+    "renyi2": lambda rho: renyi2(rho),
+    "mutual_information": lambda rho: mutual_information(rho, PART),
+    "renyi2_mutual_information": lambda rho: renyi2_mutual_information(rho, PART),
+    "entropy_production_rates": lambda rho: entropy_production_rates(H, rho, PART),
+}
+PARTITIONED = {"mutual_information", "renyi2_mutual_information", "entropy_production_rates"}
+
+
+@pytest.mark.parametrize("bad", [*BAD_STATES, "wrong_dimension"])
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_entry_points_reject_bad_input(entry, bad):
+    if bad != "wrong_dimension":
+        rho, needle = BAD_STATES[bad]
+    elif entry in PARTITIONED:
+        # A valid state, but of 3 qubits against a 1|1 partition.
+        rho, needle = np.eye(8, dtype=complex) / 8, "does not match partition|dimension mismatch"
+    else:
+        rho, needle = np.full((4, 2), 0.25, dtype=complex), "must be square"
+    with pytest.raises(ValueError, match=needle):
+        ENTRY_POINTS[entry](rho)
+
+
+@pytest.mark.parametrize("check", [check_density_matrix, eigh, build_liouvillian])
+def test_hermiticity_is_checked_by_one_helper(check):
+    with pytest.raises(ValueError, match="not Hermitian: max deviation 1.000e-01"):
+        check(_non_hermitian())
+
+
+@pytest.fixture
+def density_checks(monkeypatch):
+    """Count check_density_matrix calls through every module that imports it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1] if len(args) > 1 else kwargs.get("name", "rho"))
+        return qdense.check_density_matrix(*args, **kwargs)
+
+    for module in (entropy, scrambling, liouville):
+        monkeypatch.setattr(module, "check_density_matrix", counted)
+    return calls
+
+
+def test_each_state_is_validated_once(density_checks):
+    part = Bipartition(2, 1)
+    h = random_hermitian(part.dim, seeded_rng(11))
+    initial = np.zeros((part.dim, part.dim), dtype=complex)
+    initial[0, 0] = 1.0
+    times = np.linspace(0.0, 2.0, 5)
+
+    bound_report(h, part, initial, times)
+    assert len(density_checks) == 2 * times.size + 1
+    density_checks.clear()
+
+    bound8_report(h, regularize(initial), part, times)
+    assert len(density_checks) == times.size + 1
+
+
+@pytest.mark.parametrize("fn", [renyi2, von_neumann])
+def test_pure_state_entropy_is_positive_zero(fn):
+    rho = np.zeros((2, 2), dtype=complex)
+    rho[0, 0] = 1.0
+    value = fn(rho)
+    assert value == 0.0 and math.copysign(1.0, value) == 1.0
