@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -49,6 +50,8 @@ COLUMNS = ("t", "I", "I2", "Obar", "deltaO", "deltaMO", "Idot", "SdotA", "SdotB"
 ASSERTED_SLACK = {"syk": "slack9", "circuit": "slack9", "otoc-sweep": "slack9",
                   "bound8": "slack8"}
 BUILTIN_CIRCUITS = {"scrambler3": scrambler_preset, "entangler2": entangler2_preset}
+# bound8 model types and the defaults of their numeric fields.
+MODEL_FIELDS = {"random": {}, "ising_chain": {"j": 1.0, "hx": 0.7}}
 
 
 class ConfigError(ValueError):
@@ -70,9 +73,10 @@ def _field(data: dict, name: str, kind: type, where: str = "", required: bool = 
         _expect(not required, f"{path}: missing required field")
         return default
     value = data[name]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+    if kind is float and type(value) is int:
         value = float(value)
-    _expect(isinstance(value, kind) and not isinstance(value, bool), f"{path}: expected {kind.__name__}")
+    _expect(type(value) is kind, f"{path}: expected {kind.__name__}")
+    _expect(kind is not float or math.isfinite(value), f"{path}: expected a finite number")
     return value
 
 
@@ -201,11 +205,12 @@ def load_config(path: str) -> ExperimentConfig:
         block = data.get("model")
         _expect(isinstance(block, dict), "model: missing or not an object")
         mtype = _field(block, "type", str, "model")
-        _expect(mtype in ("random", "ising_chain"), "model.type: must be 'random' or 'ising_chain'")
+        _expect(mtype in MODEL_FIELDS, "model.type: must be 'random' or 'ising_chain'")
+        for key in block:
+            _expect(key == "type" or key in MODEL_FIELDS[mtype], f"model.{key}: unknown field")
         cfg.model = dict(block)
-        if mtype == "ising_chain":
-            cfg.model.setdefault("j", 1.0)
-            cfg.model.setdefault("hx", 0.7)
+        for key, default in MODEL_FIELDS[mtype].items():
+            cfg.model[key] = _field(block, key, float, "model", required=False, default=default)
         cfg.delta = _field(data, "delta", float, required=False, default=DEFAULT_DELTA)
         _expect(0.0 < cfg.delta < 1.0, "delta: must be in (0, 1)")
     return cfg

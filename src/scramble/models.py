@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Sequence
@@ -141,20 +141,30 @@ def build_syk_hamiltonian(cfg: SykConfig, realization_index: int) -> ComplexMatr
 # Circuit construction
 
 
-_FIXED_GATES = {
-    "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0),
-    "X": SIGMA_X,
-    "Y": SIGMA_Y,
-    "Z": SIGMA_Z,
-    "S": np.diag([1.0, 1j]),
-    "CZ": np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex),
-    "CNOT": np.array(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-    ),
+def _rx(angle: float) -> np.ndarray:
+    c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
+    return np.array([[c, -1j * s], [-1j * s, c]])
+
+
+def _rzz(angle: float) -> np.ndarray:
+    e = np.exp(-0.5j * angle)
+    return np.diag([e, e.conj(), e.conj(), e])
+
+
+# name -> (arity, matrix): a fixed matrix, a function of the angle for the
+# angled gates, or None for CUSTOM, whose Gate carries its own matrix.
+_GATES = {
+    "H": (1, np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)),
+    "X": (1, SIGMA_X),
+    "Y": (1, SIGMA_Y),
+    "Z": (1, SIGMA_Z),
+    "S": (1, np.diag([1.0, 1j])),
+    "RX": (1, _rx),
+    "CZ": (2, np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)),
+    "CNOT": (2, np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)),
+    "RZZ": (2, _rzz),
+    "CUSTOM": (2, None),
 }
-_ANGLED_GATES = {"RZZ": 2, "RX": 1}
-_GATE_ARITY = {"H": 1, "X": 1, "Y": 1, "Z": 1, "S": 1, "RX": 1,
-               "CZ": 2, "CNOT": 2, "RZZ": 2, "CUSTOM": 2}
 
 
 @dataclass(frozen=True)
@@ -164,32 +174,19 @@ class Gate:
     angle: float | None = None
     matrix: np.ndarray | None = None
 
-    def realized(self) -> np.ndarray:
-        """The gate's own matrix (first listed target = leading tensor factor)."""
-        if self.name == "RX":
-            c, s = np.cos(self.angle / 2.0), np.sin(self.angle / 2.0)
-            return np.array([[c, -1j * s], [-1j * s, c]])
-        if self.name == "RZZ":
-            e = np.exp(-0.5j * self.angle)
-            return np.diag([e, e.conj(), e.conj(), e])
-        if self.name == "CUSTOM":
-            return self.matrix
-        return _FIXED_GATES[self.name]
-
-
-@dataclass
-class CircuitSpec:
-    """Ordered gate list; gates[0] is applied to the state first."""
-
-    n_qubits: int
-    gates: list[Gate]
+    def realized(self, t: float = 1.0) -> np.ndarray:
+        """The gate's matrix with its angle scaled by t (first target = leading factor)."""
+        fixed = _GATES[self.name][1]
+        if callable(fixed):
+            return fixed(self.angle * t)
+        return self.matrix if fixed is None else fixed
 
 
 def _validate_gate(gate: Gate, index: int, n_qubits: int) -> None:
     where = f"gates[{index}]"
-    if gate.name not in _GATE_ARITY:
+    if gate.name not in _GATES:
         raise ValueError(f"{where}.name: unknown gate {gate.name!r}")
-    arity = _GATE_ARITY[gate.name]
+    arity, fixed = _GATES[gate.name]
     if len(gate.targets) != arity:
         raise ValueError(
             f"{where}.targets: {gate.name} takes {arity} target(s), got {len(gate.targets)}"
@@ -199,14 +196,18 @@ def _validate_gate(gate: Gate, index: int, n_qubits: int) -> None:
     for t in gate.targets:
         if not 0 <= t < n_qubits:
             raise ValueError(f"{where}.targets: qubit {t} out of range for {n_qubits} qubits")
-    if gate.name in _ANGLED_GATES:
+    if callable(fixed):
         if gate.angle is None:
             raise ValueError(f"{where}.angle: {gate.name} requires an angle")
+        if not math.isfinite(gate.angle):
+            raise ValueError(f"{where}.angle: not a finite number")
     elif gate.angle is not None:
         raise ValueError(f"{where}.angle: {gate.name} takes no angle")
-    if gate.name == "CUSTOM":
+    if fixed is None:
         if gate.matrix is None or np.shape(gate.matrix) != (4, 4):
             raise ValueError(f"{where}.matrix: CUSTOM requires a 4x4 matrix")
+        if not np.isfinite(gate.matrix).all():
+            raise ValueError(f"{where}.matrix: non-finite entry")
         dev = np.abs(gate.matrix @ gate.matrix.conj().T - np.eye(4)).max()
         if dev > GATE_UNITARITY_TOL:
             raise ValueError(f"{where}.matrix: not unitary (deviation {dev:.3e})")
@@ -214,52 +215,39 @@ def _validate_gate(gate: Gate, index: int, n_qubits: int) -> None:
         raise ValueError(f"{where}.matrix: only CUSTOM gates carry a matrix")
 
 
-def validate_circuit(spec: CircuitSpec) -> None:
-    if spec.n_qubits < 1:
-        raise ValueError("n_qubits must be at least 1")
-    for i, gate in enumerate(spec.gates):
-        _validate_gate(gate, i, spec.n_qubits)
+@dataclass(frozen=True)
+class CircuitSpec:
+    """Ordered gate list, checked on construction; gates[0] acts on the state first."""
+
+    n_qubits: int
+    gates: tuple[Gate, ...]
+
+    def __post_init__(self):
+        if self.n_qubits < 1:
+            raise ValueError("n_qubits must be at least 1")
+        object.__setattr__(self, "gates", tuple(self.gates))
+        for i, gate in enumerate(self.gates):
+            _validate_gate(gate, i, self.n_qubits)
 
 
-def embed_gate(g: np.ndarray, targets: Sequence[int], n_qubits: int) -> np.ndarray:
-    """Lift a 1- or 2-qubit gate to the full register."""
-    m = len(targets)
-    rest = [q for q in range(n_qubits) if q not in targets]
-    order = list(targets) + rest
-    full = np.kron(np.asarray(g, dtype=complex), np.eye(2 ** (n_qubits - m)))
-    perm = [order.index(qubit) for qubit in range(n_qubits)]
-    axes = perm + [n_qubits + p for p in perm]
-    return full.reshape((2,) * (2 * n_qubits)).transpose(axes).reshape(2**n_qubits, 2**n_qubits)
+def realize_circuit(spec: CircuitSpec, t: float = 1.0) -> ComplexMatrix:
+    """Full-register unitary with every angle scaled by t; list order is application order.
 
-
-def realize_circuit(spec: CircuitSpec, n_qubits: int | None = None) -> ComplexMatrix:
-    """Full-register unitary; list order is application order on the state."""
-    if n_qubits is not None and n_qubits != spec.n_qubits:
-        raise ValueError(f"spec is for {spec.n_qubits} qubits, requested {n_qubits}")
-    validate_circuit(spec)
-    u = np.eye(2**spec.n_qubits, dtype=complex)
+    Each gate is contracted onto its target axes of U, held as a (2,)*n x d tensor.
+    """
+    n, d = spec.n_qubits, 2**spec.n_qubits
+    u = np.eye(d, dtype=complex).reshape((2,) * n + (d,))
     for gate in spec.gates:
-        u = embed_gate(gate.realized(), gate.targets, spec.n_qubits) @ u
-    return u
-
-
-def scaled_circuit(spec: CircuitSpec, factor: float) -> CircuitSpec:
-    """Scale every angled gate's angle by ``factor``; fixed gates unchanged."""
-    gates = [
-        replace(g, angle=g.angle * factor) if g.angle is not None else g
-        for g in spec.gates
-    ]
-    return CircuitSpec(n_qubits=spec.n_qubits, gates=gates)
+        m = len(gate.targets)
+        g = gate.realized(t).reshape((2,) * (2 * m))
+        u = np.tensordot(g, u, axes=(range(m, 2 * m), gate.targets))
+        u = np.moveaxis(u, range(m), gate.targets)
+    return u.reshape(d, d)
 
 
 def circuit_unitary_family(spec: CircuitSpec) -> Callable[[float], ComplexMatrix]:
     """t -> U(t) with all gate angles scaled linearly by t."""
-    validate_circuit(spec)
-
-    def u_of_t(t: float) -> ComplexMatrix:
-        return realize_circuit(scaled_circuit(spec, t))
-
-    return u_of_t
+    return lambda t: realize_circuit(spec, t)
 
 
 def scrambler_preset() -> CircuitSpec:
@@ -310,19 +298,16 @@ def _gate_from_json(obj, index: int) -> Gate:
     if not isinstance(name, str):
         raise ValueError(f"{where}.name: missing or not a string")
     targets = obj.get("targets")
-    if not isinstance(targets, list) or not all(isinstance(t, int) for t in targets):
+    if not isinstance(targets, list) or not all(type(t) is int for t in targets):
         raise ValueError(f"{where}.targets: expected a list of qubit indices")
     angle = obj.get("angle")
-    if angle is not None and not isinstance(angle, (int, float)):
+    if angle is not None and type(angle) not in (int, float):
         raise ValueError(f"{where}.angle: expected a number")
     matrix = None
     if "matrix" in obj:
-        raw = obj["matrix"]
         try:
-            matrix = np.array(
-                [[complex(cell[0], cell[1]) for cell in row] for row in raw]
-            )
-        except (TypeError, IndexError):
+            matrix = np.array([[complex(c[0], c[1]) for c in row] for row in obj["matrix"]])
+        except (TypeError, IndexError, ValueError):
             raise ValueError(f"{where}.matrix: expected 4x4 nested [re, im] pairs") from None
     unknown = set(obj) - {"name", "targets", "angle", "matrix"}
     if unknown:
@@ -339,7 +324,7 @@ def parse_circuit_json(text: str) -> CircuitSpec:
     if not isinstance(data, dict):
         raise ValueError("top level: expected an object")
     n_qubits = data.get("n_qubits")
-    if not isinstance(n_qubits, int) or n_qubits < 1:
+    if type(n_qubits) is not int or n_qubits < 1:
         raise ValueError("n_qubits: missing or not a positive integer")
     gates_raw = data.get("gates")
     if not isinstance(gates_raw, list):
@@ -347,9 +332,7 @@ def parse_circuit_json(text: str) -> CircuitSpec:
     unknown = set(data) - {"n_qubits", "gates"}
     if unknown:
         raise ValueError(f"top level: unknown field(s) {sorted(unknown)}")
-    spec = CircuitSpec(n_qubits, [_gate_from_json(g, i) for i, g in enumerate(gates_raw)])
-    validate_circuit(spec)
-    return spec
+    return CircuitSpec(n_qubits, tuple(_gate_from_json(g, i) for i, g in enumerate(gates_raw)))
 
 
 # ---------------------------------------------------------------------------

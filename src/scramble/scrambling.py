@@ -112,6 +112,11 @@ def averaged_otoc(
     state = check_density_matrix(state)
     if state.shape != (part.dim, part.dim):
         raise ValueError("expectation state dimension does not match partition")
+    return _initial_state_otoc(part, u_t, state)
+
+
+def _initial_state_otoc(part: Bipartition, u_t: ComplexMatrix, state: DensityMatrix) -> float:
+    d_a, d_b = part.dim_a, part.dim_b
     # The identity applied to both string sums: two contractions of U with U^dag.
     v = u_t.reshape(d_a, d_b, d_a, d_b)
     r = (u_t @ state).reshape(d_a, d_b, d_a, d_b)
@@ -221,8 +226,10 @@ def bound_report(
         rho_t = u @ initial @ u.conj().T
         mi[i] = mutual_information(rho_t, part)
         mi2[i] = renyi2_mutual_information(rho_t, part)
-        expect = initial if cfg.expectation_state == "initial_state" else None
-        obar[i] = averaged_otoc(part, u, cfg, expect)
+        if cfg.expectation_state == "initial_state":
+            obar[i] = _initial_state_otoc(part, u, initial)
+        else:
+            obar[i] = averaged_otoc(part, u, cfg)
         if mo is not None:
             mo[i] = modified_otoc(part, u, psi=psi)
     delta_obar = obar[0] - obar

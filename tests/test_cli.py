@@ -264,6 +264,7 @@ def test_malformed_circuit_file_is_wrapped(tmp_path, capsys):
         (lambda c: c["syk"].update(n_majorana=7), "syk"),
         (lambda c: c["syk"].update(q=8), "syk"),
         (lambda c: c["partition"].update(n_b=4), "partition"),
+        (lambda c: c["syk"].update(j_squared=float("nan")), "syk.j_squared: expected a finite"),
     ],
 )
 def test_syk_config_validation_errors(tmp_path, capsys, mutate, needle):
@@ -286,9 +287,18 @@ def test_bound8_config_validation_errors(tmp_path, capsys):
     cfg["model"] = {"type": "heisenberg"}
     assert cli.main(["validate", write_config(tmp_path, cfg, "c2.json")]) == 2
     assert "model.type" in capsys.readouterr().err
+    for model, needle in (
+        ({"type": "ising_chain", "j": "abc"}, "model.j: expected float"),
+        ({"type": "ising_chain", "hx": float("inf")}, "model.hx: expected a finite"),
+        ({"type": "ising_chain", "hz": 0.5}, "model.hz: unknown field"),
+        ({"type": "random", "j": 1.0}, "model.j: unknown field"),
+    ):
+        cfg["model"] = model
+        assert cli.main(["validate", write_config(tmp_path, cfg, "c3.json")]) == 2
+        assert needle in capsys.readouterr().err
     cfg["model"] = {"type": "random"}
     cfg["delta"] = 2.0
-    assert cli.main(["validate", write_config(tmp_path, cfg, "c3.json")]) == 2
+    assert cli.main(["validate", write_config(tmp_path, cfg, "c4.json")]) == 2
     assert "delta" in capsys.readouterr().err
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from _oracles import apply_gate_to_state, expm_unitary, kron_chain
+from scramble import models
 from scramble.models import (
     CircuitSpec,
     Gate,
@@ -14,16 +15,13 @@ from scramble.models import (
     average_reports,
     build_syk_hamiltonian,
     circuit_unitary_family,
-    embed_gate,
     entangler2_preset,
     jordan_wigner_majorana,
     parse_circuit_json,
     realize_circuit,
-    scaled_circuit,
     scrambler_preset,
     syk_couplings,
     syk_trajectory,
-    validate_circuit,
 )
 from scramble.qdense import Bipartition, haar_state, kron_all, partial_trace, seeded_rng
 from scramble.scrambling import OtocConfig
@@ -126,6 +124,20 @@ def test_syk_hamiltonian_structure():
     np.testing.assert_array_equal(h, build_syk_hamiltonian(cfg, 0))
 
 
+def test_syk_hamiltonian_loop_fallback_matches_term_stack(monkeypatch):
+    # Past _TERM_STACK_LIMIT the terms are summed one by one instead of cached.
+    cfg = syk_config(n_majorana=8)
+    stacked = build_syk_hamiltonian(cfg, 1)
+    models._term_stack.cache_clear()
+    monkeypatch.setattr(models, "_TERM_STACK_LIMIT", 0)
+    try:
+        assert models._term_stack(cfg.n_majorana, cfg.q) is None
+        looped = build_syk_hamiltonian(cfg, 1)
+    finally:
+        models._term_stack.cache_clear()
+    np.testing.assert_allclose(looped, stacked, rtol=0, atol=1e-13)
+
+
 def test_syk_term_monomials_are_orthogonal():
     # Distinct Majorana monomials are distinct Pauli strings up to phase.
     psis = [jordan_wigner_majorana(i, 3) for i in range(1, 7)]
@@ -166,11 +178,20 @@ def test_gate_realized_matches_exponentials():
         (Gate("CUSTOM", (0, 1)), "4x4"),
         (Gate("CUSTOM", (0, 1), matrix=np.eye(4) * 2), "unitary"),
         (Gate("H", (0,), matrix=np.eye(2)), "only CUSTOM"),
+        (Gate("RX", (0,), angle=math.nan), r"gates\[0\].angle: not a finite"),
+        (Gate("CUSTOM", (0, 1), matrix=np.full((4, 4), np.inf)), r"gates\[0\].matrix: non-finite"),
     ],
 )
 def test_gate_validation_errors(gate, match):
     with pytest.raises(ValueError, match=match):
-        validate_circuit(CircuitSpec(3, [gate]))
+        CircuitSpec(3, [gate])
+
+
+def test_circuit_spec_is_frozen_with_tuple_gates():
+    spec = CircuitSpec(2, [Gate("H", (0,))])
+    assert spec.gates == (Gate("H", (0,)),)
+    with pytest.raises(AttributeError):
+        spec.n_qubits = 3
 
 
 def test_embed_gate_single_qubit_positions():
@@ -178,7 +199,8 @@ def test_embed_gate_single_qubit_positions():
     for pos in range(3):
         factors = [np.eye(2, dtype=complex)] * 3
         factors[pos] = g
-        np.testing.assert_allclose(embed_gate(g, (pos,), 3), kron_all(*factors), atol=1e-13)
+        u = realize_circuit(CircuitSpec(3, [Gate("RX", (pos,), angle=0.7)]))
+        np.testing.assert_allclose(u, kron_all(*factors), atol=1e-13)
 
 
 def cnot_oracle(control: int, target: int, n: int) -> np.ndarray:
@@ -195,9 +217,10 @@ def cnot_oracle(control: int, target: int, n: int) -> np.ndarray:
 
 @pytest.mark.parametrize("targets", [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2)])
 def test_embed_gate_two_qubit_ordering(targets):
-    cnot = Gate("CNOT", targets).realized()
     np.testing.assert_allclose(
-        embed_gate(cnot, targets, 3), cnot_oracle(targets[0], targets[1], 3), atol=1e-13
+        realize_circuit(CircuitSpec(3, [Gate("CNOT", targets)])),
+        cnot_oracle(targets[0], targets[1], 3),
+        atol=1e-13,
     )
 
 
@@ -220,9 +243,10 @@ def test_realize_circuit_matches_statevector_oracle():
 
 def test_scaled_circuit_scales_angles_only():
     spec = scrambler_preset()
-    half = scaled_circuit(spec, 0.5)
-    assert half.gates[3].angle == pytest.approx(spec.gates[3].angle * 0.5)
-    assert half.gates[0].angle is None
+    halved = CircuitSpec(3, [
+        Gate(g.name, g.targets, None if g.angle is None else g.angle * 0.5) for g in spec.gates
+    ])
+    assert realize_circuit(spec, 0.5).tobytes() == realize_circuit(halved).tobytes()
     assert spec.gates[3].angle == pytest.approx(np.pi / 2)
 
 
@@ -291,6 +315,26 @@ def test_parse_circuit_json_custom_matrix_roundtrip():
         (
             '{"n_qubits": 2, "gates": [{"name": "CUSTOM", "targets": [0, 1], "matrix": [1]}]}',
             r"gates\[0\].matrix",
+        ),
+        ('{"n_qubits": 2, "gates": [{"name": "H", "targets": [true]}]}', r"gates\[0\].targets"),
+        (
+            '{"n_qubits": 2, "gates": [{"name": "RX", "targets": [0], "angle": true}]}',
+            r"gates\[0\].angle",
+        ),
+        (
+            '{"n_qubits": 2, "gates": [{"name": "RX", "targets": [0], "angle": NaN}]}',
+            r"gates\[0\].angle",
+        ),
+        (
+            '{"n_qubits": 2, "gates": [{"name": "CUSTOM", "targets": [0, 1], "matrix": '
+            + json.dumps([[[float(i == j), 0] for j in range(4)] for i in range(3)]
+                         + [[[0, 0]] * 3 + [[math.nan, 0]]]) + "}]}",
+            r"gates\[0\].matrix: non-finite",
+        ),
+        (
+            '{"n_qubits": 2, "gates": [{"name": "CUSTOM", "targets": [0, 1], "matrix": '
+            + json.dumps([[[1, 0]] * 4] * 3 + [[[1, 0]] * 3]) + "}]}",
+            r"gates\[0\].matrix: expected 4x4",
         ),
     ],
 )

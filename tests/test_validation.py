@@ -25,7 +25,8 @@ from scramble.qdense import (
     random_hermitian,
     seeded_rng,
 )
-from scramble.scrambling import bound_report
+from scramble.models import circuit_unitary_family, entangler2_preset
+from scramble.scrambling import OtocConfig, bound_report
 
 PART = Bipartition(1, 1)
 H = random_hermitian(PART.dim, seeded_rng(3))
@@ -101,6 +102,16 @@ def test_each_state_is_validated_once(density_checks):
 
     bound8_report(h, regularize(initial), part, times)
     assert len(density_checks) == times.size + 1
+    density_checks.clear()
+
+    # The initial-state expectation reuses the already-checked start.
+    part = Bipartition(1, 1)
+    initial = np.zeros((part.dim, part.dim), dtype=complex)
+    initial[0, 0] = 1.0
+    times = np.linspace(0.0, 1.0, 11)
+    bound_report(circuit_unitary_family(entangler2_preset()), part, initial, times,
+                 OtocConfig(expectation_state="initial_state"))
+    assert len(density_checks) == 2 * times.size + 1
 
 
 @pytest.mark.parametrize("fn", [renyi2, von_neumann])
