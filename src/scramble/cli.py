@@ -73,8 +73,8 @@ def _field(data: dict, name: str, kind: type, where: str = "", required: bool = 
         _expect(not required, f"{path}: missing required field")
         return default
     value = data[name]
-    if kind is float and type(value) is int:
-        value = float(value)
+    if kind is float and type(value) is int:  # an integer past the float range counts as infinite
+        value = float(value) if abs(value) <= sys.float_info.max else math.inf
     _expect(type(value) is kind, f"{path}: expected {kind.__name__}")
     _expect(kind is not float or math.isfinite(value), f"{path}: expected a finite number")
     return value

@@ -1,15 +1,18 @@
 """Concrete scrambling dynamics: SYK Hamiltonians and circuit unitaries.
 
-Majorana operators use the psi^2 = I/2 normalization; couplings are i.i.d.
-Gaussians with variance J^2 (q-1)! / N^(q-1), drawn from a stream keyed by
-(seed, realization_index) and consumed in lexicographic index-tuple order,
-so disorder realizations are reproducible and mutually independent.
+Jordan-Wigner Majoranas (psi^2 = I/2) multiply to Pauli strings with a phase,
+kept as bit masks, so the SYK Hamiltonian is filled entry by entry with no
+dense term. Couplings are i.i.d. Gaussians with variance J^2 (q-1)! / N^(q-1),
+drawn from a stream keyed by (seed, realization_index) and consumed in
+lexicographic index-tuple order, so disorder realizations are reproducible
+and mutually independent.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -20,41 +23,15 @@ import numpy as np
 
 from .qdense import (
     GATE_UNITARITY_TOL,
-    ID2,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     Bipartition,
     ComplexMatrix,
     DensityMatrix,
-    kron_all,
     seeded_rng,
 )
 from .scrambling import OtocConfig, bound_report
-
-# Entries beyond this are rebuilt per realization instead of cached stacked.
-_TERM_STACK_LIMIT = 4_000_000
-
-
-def jordan_wigner_majorana(i: int, n_qubits: int) -> ComplexMatrix:
-    """Majorana operator psi_i on n_qubits, 1 <= i <= 2*n_qubits.
-
-    psi_(2j-1) = (prod_{k<j} sigma_z^k) sigma_x^j / sqrt(2) and
-    psi_(2j)   = (prod_{k<j} sigma_z^k) sigma_y^j / sqrt(2), so that
-    {psi_i, psi_j} = delta_ij * I.
-    """
-    if not 1 <= i <= 2 * n_qubits:
-        raise ValueError(f"Majorana index {i} out of range 1..{2 * n_qubits}")
-    j = (i + 1) // 2
-    head = SIGMA_X if i % 2 == 1 else SIGMA_Y
-    factors = [SIGMA_Z] * (j - 1) + [head] + [ID2] * (n_qubits - j)
-    return kron_all(*factors) / np.sqrt(2.0)
-
-
-@lru_cache(maxsize=8)
-def _majoranas(n_majorana: int) -> tuple[np.ndarray, ...]:
-    n_qubits = n_majorana // 2
-    return tuple(jordan_wigner_majorana(i, n_qubits) for i in range(1, n_majorana + 1))
 
 
 @dataclass
@@ -92,26 +69,21 @@ class SykConfig:
         return self.j_squared * math.factorial(self.q - 1) / self.n_majorana ** (self.q - 1)
 
 
-def _term_matrix(psis: Sequence[np.ndarray], combo: tuple[int, ...], prefactor: complex) -> np.ndarray:
-    out = psis[combo[0] - 1]
-    for idx in combo[1:]:
-        out = out @ psis[idx - 1]
-    return prefactor * out
-
-
 @lru_cache(maxsize=4)
-def _term_stack(n_majorana: int, q: int) -> np.ndarray | None:
-    d = 2 ** (n_majorana // 2)
-    count = math.comb(n_majorana, q)
-    if count * d * d > _TERM_STACK_LIMIT:
-        return None
-    psis = _majoranas(n_majorana)
-    prefactor = 1j ** (q // 2)
-    terms = [
-        _term_matrix(psis, combo, prefactor)
-        for combo in combinations(range(1, n_majorana + 1), q)
-    ]
-    return np.stack(terms)
+def _term_masks(n_majorana: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, z, phase) per term, lexicographic order: i^(q/2) psi_i1...psi_iq = phase X^x Z^z.
+
+    Majorana m = i - 1 is Z on every qubit before k = m // 2 and X (m even) or
+    Y = iXZ (m odd) on qubit k, with qubit 0 the most significant bit.
+    (X^x Z^z)(X^x' Z^z') = (-1)^|z & x'| X^(x ^ x') Z^(z ^ z'), and in ascending
+    order that sign is +1: no factor has Z on the X qubit of a later factor.
+    """
+    n = n_majorana // 2
+    m = np.array(list(combinations(range(n_majorana), q)))
+    bit = np.uint64(1) << (n - 1 - m // 2).astype(np.uint64)
+    z = np.uint64(2**n - 1) ^ (np.where(m % 2, bit, 2 * bit) - np.uint64(1))
+    phase = np.array([1, 1j, -1, -1j])[(q // 2 + (m % 2).sum(axis=1)) % 4] / 2 ** (q // 2)
+    return np.bitwise_xor.reduce(bit, axis=1), np.bitwise_xor.reduce(z, axis=1), phase
 
 
 def syk_couplings(cfg: SykConfig, realization_index: int) -> np.ndarray:
@@ -123,17 +95,21 @@ def syk_couplings(cfg: SykConfig, realization_index: int) -> np.ndarray:
 
 
 def build_syk_hamiltonian(cfg: SykConfig, realization_index: int) -> ComplexMatrix:
-    """H = i^(q/2) sum_(i1<...<iq) J_(i1..iq) psi_i1 ... psi_iq."""
+    """H = i^(q/2) sum_(i1<...<iq) J_(i1..iq) psi_i1 ... psi_iq.
+
+    Term phase X^x Z^z maps |j> to phase (-1)^|j & z| |j ^ x>, so each term adds
+    J phase (-1)^|j & z| to H[j ^ x, j] for every basis index j. The parity of
+    |j & z| is taken by folding bits, as np.bitwise_count needs numpy 2.
+    """
     couplings = syk_couplings(cfg, realization_index)
-    stack = _term_stack(cfg.n_majorana, cfg.q)
-    if stack is not None:
-        return np.tensordot(couplings, stack, axes=1)
-    psis = _majoranas(cfg.n_majorana)
-    prefactor = 1j ** (cfg.q // 2)
-    d = 2**cfg.n_qubits
-    h = np.zeros((d, d), dtype=complex)
-    for j, combo in zip(couplings, combinations(range(1, cfg.n_majorana + 1), cfg.q)):
-        h += j * _term_matrix(psis, combo, prefactor)
+    x, z, phase = _term_masks(cfg.n_majorana, cfg.q)
+    j = np.arange(2**cfg.n_qubits, dtype=np.uint64)
+    v = j & z[:, None]
+    for shift in (32, 16, 8, 4, 2, 1):
+        v ^= v >> np.uint64(shift)
+    signs = 1.0 - 2.0 * (v & np.uint64(1))  # float before subtracting: uint64 would wrap
+    h = np.zeros((j.size, j.size), dtype=complex)
+    np.add.at(h, (j ^ x[:, None], j), (couplings * phase)[:, None] * signs)
     return h
 
 
@@ -290,6 +266,13 @@ def entangler2_preset() -> CircuitSpec:
 # Circuit JSON interchange
 
 
+def _complex_cell(cell) -> complex:
+    re, im = cell  # exactly two entries, or ValueError
+    if type(re) not in (int, float) or type(im) not in (int, float):
+        raise TypeError("matrix entries must be numbers")
+    return complex(re, im)
+
+
 def _gate_from_json(obj, index: int) -> Gate:
     where = f"gates[{index}]"
     if not isinstance(obj, dict):
@@ -303,16 +286,18 @@ def _gate_from_json(obj, index: int) -> Gate:
     angle = obj.get("angle")
     if angle is not None and type(angle) not in (int, float):
         raise ValueError(f"{where}.angle: expected a number")
+    if type(angle) is int:  # an integer past the float range counts as infinite
+        angle = float(angle) if abs(angle) <= sys.float_info.max else math.inf
     matrix = None
     if "matrix" in obj:
         try:
-            matrix = np.array([[complex(c[0], c[1]) for c in row] for row in obj["matrix"]])
-        except (TypeError, IndexError, ValueError):
+            matrix = np.array([[_complex_cell(c) for c in row] for row in obj["matrix"]])
+        except (TypeError, ValueError, OverflowError):
             raise ValueError(f"{where}.matrix: expected 4x4 nested [re, im] pairs") from None
     unknown = set(obj) - {"name", "targets", "angle", "matrix"}
     if unknown:
         raise ValueError(f"{where}: unknown field(s) {sorted(unknown)}")
-    return Gate(name.upper(), tuple(targets), None if angle is None else float(angle), matrix)
+    return Gate(name.upper(), tuple(targets), angle, matrix)
 
 
 def parse_circuit_json(text: str) -> CircuitSpec:

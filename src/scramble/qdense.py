@@ -31,7 +31,6 @@ SLACK_TOL = -1e-9  # a bound slack below this is a violation
 OBAR_T0_TOL = 1e-12  # allowed |Obar(0) - 1|
 
 # Single-qubit operator basis, reused across modules.
-ID2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)

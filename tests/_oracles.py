@@ -26,6 +26,35 @@ def kron_chain(labels: str) -> np.ndarray:
     return out
 
 
+def jordan_wigner_majorana(i: int, n_qubits: int) -> np.ndarray:
+    """Majorana operator psi_i on n_qubits, 1 <= i <= 2*n_qubits.
+
+    psi_(2j-1) = (prod_{k<j} sigma_z^k) sigma_x^j / sqrt(2) and
+    psi_(2j)   = (prod_{k<j} sigma_z^k) sigma_y^j / sqrt(2), so that
+    {psi_i, psi_j} = delta_ij * I.
+    """
+    if not 1 <= i <= 2 * n_qubits:
+        raise ValueError(f"Majorana index {i} out of range 1..{2 * n_qubits}")
+    j = (i + 1) // 2
+    head = "X" if i % 2 == 1 else "Y"
+    return kron_chain("Z" * (j - 1) + head + "I" * (n_qubits - j)) / np.sqrt(2.0)
+
+
+def syk_hamiltonian_literal(n_majorana: int, q: int, couplings: np.ndarray) -> np.ndarray:
+    """i^(q/2) sum_(i1<...<iq) J psi_i1 ... psi_iq as dense products, lexicographic J order."""
+    n_qubits = n_majorana // 2
+    psis = [jordan_wigner_majorana(i, n_qubits) for i in range(1, n_majorana + 1)]
+    h = np.zeros((2**n_qubits, 2**n_qubits), dtype=complex)
+    combos = list(itertools.combinations(range(n_majorana), q))
+    assert len(combos) == len(couplings)
+    for coupling, combo in zip(couplings, combos):
+        term = psis[combo[0]]
+        for i in combo[1:]:
+            term = term @ psis[i]
+        h += coupling * term
+    return 1j ** (q // 2) * h
+
+
 def expm_unitary(h: np.ndarray, t: float) -> np.ndarray:
     return scipy.linalg.expm(-1j * t * np.asarray(h, dtype=complex))
 

@@ -16,7 +16,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _oracles import central_difference, expm_unitary, richardson_derivative
+from _oracles import (
+    central_difference,
+    expm_unitary,
+    jordan_wigner_majorana,
+    richardson_derivative,
+    syk_hamiltonian_literal,
+)
 from scramble import cli
 from scramble.entropy import mutual_information, renyi2_mutual_information
 from scramble.liouville import build_liouvillian, mutual_information_rate
@@ -24,7 +30,6 @@ from scramble.models import (
     SykConfig,
     build_syk_hamiltonian,
     circuit_unitary_family,
-    jordan_wigner_majorana,
     syk_couplings,
 )
 from scramble.qdense import (
@@ -197,7 +202,7 @@ def test_criterion_5_syk_ensemble_statistics():
     se = cfg.coupling_variance * math.sqrt(2.0 / (draws.size - 1))
     assert abs(sample_var - cfg.coupling_variance) <= 3.0 * se
 
-    worst = 0.0
+    worst, worst_h = 0.0, 0.0
     for n_majorana in (4, 6, 8, 10):
         n_qubits = n_majorana // 2
         psis = [jordan_wigner_majorana(i, n_qubits) for i in range(1, n_majorana + 1)]
@@ -206,11 +211,16 @@ def test_criterion_5_syk_ensemble_statistics():
             for j, psi_j in enumerate(psis):
                 anti = psi_i @ psi_j + psi_j @ psi_i - (eye if i == j else 0.0)
                 worst = max(worst, np.abs(anti).max())
+        ens = SykConfig(n_majorana=n_majorana, q=4, j_squared=2.0, seed=5, realizations=1)
+        literal = syk_hamiltonian_literal(n_majorana, 4, syk_couplings(ens, 0))
+        worst_h = max(worst_h, np.abs(build_syk_hamiltonian(ens, 0) - literal).max())
     assert worst <= 1e-12
+    assert worst_h <= 1e-14
     print(
         f"criterion 5: 210 terms, sample variance {sample_var:.6f} vs 0.012 "
         f"({abs(sample_var - cfg.coupling_variance) / se:.2f} SE, n = {draws.size}), "
-        f"anticommutator residue {worst:.1e} <= 1e-12"
+        f"anticommutator residue {worst:.1e} <= 1e-12, "
+        f"H vs Majorana products {worst_h:.1e} <= 1e-14"
     )
 
 

@@ -257,6 +257,15 @@ def test_malformed_circuit_file_is_wrapped(tmp_path, capsys):
     assert "circuit (bad.json)" in err and "unknown gate" in err
 
 
+def test_huge_integer_gate_angle_is_a_field_error(tmp_path, capsys):
+    # 10**400 is a valid JSON integer that no float can hold.
+    gates = [{"name": "RX", "targets": [0], "angle": 10**400}]
+    (tmp_path / "big.json").write_text(json.dumps({"n_qubits": 2, "gates": gates}))
+    cfg = base_circuit_config(tmp_path, circuit="big.json")
+    assert cli.main(["validate", write_config(tmp_path, cfg)]) == 2
+    assert "circuit (big.json): gates[0].angle: not a finite number" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "mutate,needle",
     [
@@ -265,6 +274,7 @@ def test_malformed_circuit_file_is_wrapped(tmp_path, capsys):
         (lambda c: c["syk"].update(q=8), "syk"),
         (lambda c: c["partition"].update(n_b=4), "partition"),
         (lambda c: c["syk"].update(j_squared=float("nan")), "syk.j_squared: expected a finite"),
+        (lambda c: c["syk"].update(j_squared=10**400), "syk.j_squared: expected a finite number"),
     ],
 )
 def test_syk_config_validation_errors(tmp_path, capsys, mutate, needle):

@@ -6,8 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import apply_gate_to_state, expm_unitary, kron_chain
-from scramble import models
+from _oracles import (
+    apply_gate_to_state,
+    expm_unitary,
+    jordan_wigner_majorana,
+    kron_chain,
+    syk_hamiltonian_literal,
+)
 from scramble.models import (
     CircuitSpec,
     Gate,
@@ -16,7 +21,6 @@ from scramble.models import (
     build_syk_hamiltonian,
     circuit_unitary_family,
     entangler2_preset,
-    jordan_wigner_majorana,
     parse_circuit_json,
     realize_circuit,
     scrambler_preset,
@@ -27,7 +31,7 @@ from scramble.qdense import Bipartition, haar_state, kron_all, partial_trace, se
 from scramble.scrambling import OtocConfig
 
 
-# --- Jordan-Wigner Majoranas -------------------------------------------------
+# --- Jordan-Wigner Majoranas (the oracle the SYK build is checked against) ---
 
 
 def test_majorana_normalization_and_hermiticity():
@@ -124,18 +128,24 @@ def test_syk_hamiltonian_structure():
     np.testing.assert_array_equal(h, build_syk_hamiltonian(cfg, 0))
 
 
-def test_syk_hamiltonian_loop_fallback_matches_term_stack(monkeypatch):
-    # Past _TERM_STACK_LIMIT the terms are summed one by one instead of cached.
-    cfg = syk_config(n_majorana=8)
-    stacked = build_syk_hamiltonian(cfg, 1)
-    models._term_stack.cache_clear()
-    monkeypatch.setattr(models, "_TERM_STACK_LIMIT", 0)
-    try:
-        assert models._term_stack(cfg.n_majorana, cfg.q) is None
-        looped = build_syk_hamiltonian(cfg, 1)
-    finally:
-        models._term_stack.cache_clear()
-    np.testing.assert_allclose(looped, stacked, rtol=0, atol=1e-13)
+@pytest.mark.parametrize(
+    "n_majorana,q", [(n, q) for n in range(4, 16, 2) for q in (4, 6) if q <= n]
+)
+def test_syk_hamiltonian_matches_majorana_oracle(n_majorana, q):
+    cfg = syk_config(n_majorana=n_majorana, q=q)
+    literal = syk_hamiltonian_literal(n_majorana, q, syk_couplings(cfg, 1))
+    np.testing.assert_allclose(build_syk_hamiltonian(cfg, 1), literal, rtol=0, atol=1e-14)
+
+
+def test_syk_hamiltonian_structure_at_n20():
+    # 10 qubits and 4845 terms: too many dense products for the oracle, so check structure.
+    cfg = syk_config(n_majorana=20)
+    h = build_syk_hamiltonian(cfg, 0)
+    assert np.array_equal(h, h.conj().T)
+    assert abs(np.trace(h)) < 1e-12
+    parity = (-1.0) ** np.array([bin(j).count("1") for j in range(2**cfg.n_qubits)])
+    assert np.array_equal(h * parity, parity[:, None] * h)
+    assert np.array_equal(h, build_syk_hamiltonian(cfg, 0))
 
 
 def test_syk_term_monomials_are_orthogonal():
@@ -335,6 +345,31 @@ def test_parse_circuit_json_custom_matrix_roundtrip():
             '{"n_qubits": 2, "gates": [{"name": "CUSTOM", "targets": [0, 1], "matrix": '
             + json.dumps([[[1, 0]] * 4] * 3 + [[[1, 0]] * 3]) + "}]}",
             r"gates\[0\].matrix: expected 4x4",
+        ),
+        pytest.param(
+            '{"n_qubits": 2, "gates": [{"name": "RX", "targets": [0], "angle": 1'
+            + "0" * 400 + "}]}",
+            r"gates\[0\].angle: not a finite number",
+            id="angle-beyond-float",
+        ),
+        pytest.param(
+            '{"n_qubits": 2, "gates": [{"name": "CUSTOM", "targets": [0, 1], "matrix": '
+            + json.dumps([[[float(i == j), 0, 99] for j in range(4)] for i in range(4)]) + "}]}",
+            r"gates\[0\].matrix: expected 4x4 nested \[re, im\] pairs",
+            id="matrix-cell-of-three",
+        ),
+        pytest.param(
+            '{"n_qubits": 2, "gates": [{"name": "CUSTOM", "targets": [0, 1], "matrix": '
+            + json.dumps([[[i == j, 0] for j in range(4)] for i in range(4)]) + "}]}",
+            r"gates\[0\].matrix: expected 4x4 nested \[re, im\] pairs",
+            id="matrix-cell-of-booleans",
+        ),
+        pytest.param(
+            '{"n_qubits": 2, "gates": [{"name": "CUSTOM", "targets": [0, 1], "matrix": '
+            + json.dumps([[[int(i == j), 0] for j in range(4)] for i in range(3)]
+                         + [[[0, 0]] * 3 + [[1, 10**400]]]) + "}]}",
+            r"gates\[0\].matrix",
+            id="matrix-cell-beyond-float",
         ),
     ],
 )
