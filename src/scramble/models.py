@@ -348,13 +348,15 @@ def syk_trajectory(
     """Per-realization channel tables plus their realization average.
 
     Realizations are independent work units; with workers > 1 they run in a
-    process pool, and the reduction is always taken in realization-index
-    order, so results are identical for every worker count.
+    process pool of at most one process per realization, and the reduction is
+    always taken in realization-index order, so results are identical for
+    every worker count.
     """
     if part.dim != 2**cfg.n_qubits:
         raise ValueError("partition does not match the SYK register size")
     otoc_cfg = otoc_cfg or OtocConfig()
     jobs = [(cfg, part, initial, otoc_cfg, k) for k in range(cfg.realizations)]
+    workers = min(workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_syk_realization, jobs, chunksize=1))

@@ -196,7 +196,7 @@ def bound_report(
     include_modified: bool = False,
     psi: np.ndarray | None = None,
 ) -> dict[str, np.ndarray]:
-    """Evolve a pure product state and sample every bound-9 channel.
+    """Evolve a pure product state as a ket and sample every bound-9 channel.
 
     ``h_or_unitary`` is either a Hermitian generator (U(t) = exp(-iHt)) or a
     callable t -> U(t). The grid must start at t = 0 so the averaged-OTOC
@@ -215,6 +215,10 @@ def bound_report(
     if purity(rho_a) < 1.0 - PURITY_TOL:
         raise ValueError("initial state must be a product across the A|B cut")
 
+    # The pure start's column at its largest diagonal entry is its ket, up to
+    # a global phase; the entropies then only need psi(t) = U(t) psi_0.
+    col = initial[:, int(np.argmax(initial.diagonal().real))]
+    psi_0 = col / np.linalg.norm(col)
     u_of_t = _unitary_supplier(h_or_unitary)
     n = times.size
     mi = np.empty(n)
@@ -223,9 +227,9 @@ def bound_report(
     mo = np.empty(n) if include_modified else None
     for i, t in enumerate(times):
         u = u_of_t(float(t))
-        rho_t = u @ initial @ u.conj().T
-        mi[i] = mutual_information(rho_t, part)
-        mi2[i] = renyi2_mutual_information(rho_t, part)
+        psi_t = u @ psi_0
+        mi[i] = mutual_information(psi_t, part)
+        mi2[i] = renyi2_mutual_information(psi_t, part)
         if cfg.expectation_state == "initial_state":
             obar[i] = _initial_state_otoc(part, u, initial)
         else:

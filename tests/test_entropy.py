@@ -1,5 +1,7 @@
 """Entropies and mutual-information functionals."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,23 @@ def test_renyi2_mutual_information_requires_pure_global_state():
     part = Bipartition(1, 1)
     with pytest.raises(ValueError, match="pure"):
         renyi2_mutual_information(np.eye(4) / 4, part)
+
+
+@pytest.mark.parametrize("n_a,n_b", [(1, 1), (1, 4), (2, 3), (3, 1)])
+def test_ket_entropies_match_density_matrix(n_a, n_b):
+    # 3|1 has d_A > d_B, so the ket path takes the B-side Gram matrix there.
+    part = Bipartition(n_a, n_b)
+    for seed in range(3):
+        psi = haar_state(part.dim, seeded_rng(13, seed, n_a, n_b))
+        rho = np.outer(psi, psi.conj())
+        assert abs(mutual_information(psi, part) - mutual_information(rho, part)) < 1e-13
+        assert abs(renyi2_mutual_information(psi, part)
+                   - renyi2_mutual_information(rho, part)) < 1e-13
+    product = np.zeros(part.dim, dtype=complex)
+    product[part.dim_b + 1] = 1.0  # |1>_A |1>_B in the computational basis
+    for fn in (mutual_information, renyi2_mutual_information):
+        value = fn(product, part)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 @pytest.mark.parametrize("n_a,n_b", [(1, 1), (1, 2), (2, 2), (2, 3)])

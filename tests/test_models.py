@@ -13,6 +13,7 @@ from _oracles import (
     kron_chain,
     syk_hamiltonian_literal,
 )
+from scramble import models
 from scramble.models import (
     CircuitSpec,
     Gate,
@@ -428,6 +429,34 @@ def test_syk_trajectory_worker_count_invariance():
     assert set(serial) == set(pooled) == {"t", "I", "I2", "Obar", "deltaO", "slack9"}
     for name in serial:
         np.testing.assert_array_equal(serial[name], pooled[name])
+
+
+@pytest.mark.parametrize("workers, realizations, pools",
+                         [(1000, 2, [2]), (3, 5, [3]), (1000, 1, []), (1, 3, [])])
+def test_syk_trajectory_caps_pool_workers_at_realizations(monkeypatch, workers,
+                                                          realizations, pools):
+    requested = []
+
+    class RecordingPool:
+        """Stands in for the process pool: records its size, maps serially."""
+
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(models, "ProcessPoolExecutor", RecordingPool)
+    reports, _ = syk_trajectory(syk_config(realizations=realizations), Bipartition(1, 2),
+                                zero_state(3), workers=workers)
+    assert requested == pools
+    assert len(reports) == realizations
 
 
 def test_syk_trajectory_partition_mismatch():

@@ -124,6 +124,22 @@ def test_averaged_otoc_ten_qubit_product_unitary(n_a, n_b):
     assert abs(averaged_otoc(part, u, OtocConfig()) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("n_a,n_b", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_averaged_otoc_haar_mean(n_a, n_b):
+    # An oracle outside _oracles.py: over Haar U the operator purity averages
+    # to E[Obar] = (d_A^2 + d_B^2 - 2) / (d^2 - 1), one minus Zanardi's mean
+    # operator entanglement (PRA 63, 040304 (2001)).
+    part = Bipartition(n_a, n_b)
+    rng = seeded_rng(700, n_a, n_b)
+    samples = np.array([averaged_otoc(part, haar_unitary(part.dim, rng), OtocConfig())
+                        for _ in range(400)])
+    expected = (part.dim_a**2 + part.dim_b**2 - 2) / (part.dim**2 - 1)
+    std_err = samples.std(ddof=1) / np.sqrt(samples.size)
+    print(f"{n_a}|{n_b}: mean {samples.mean():.5f}, Haar {expected:.5f}, "
+          f"{abs(samples.mean() - expected) / std_err:.2f} standard errors (tol 5)")
+    assert abs(samples.mean() - expected) <= 5 * std_err
+
+
 def test_stabilizer_states_form_a_2_design():
     states = stabilizer_states()
     assert len(states) == 6
