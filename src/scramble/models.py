@@ -94,22 +94,32 @@ def syk_couplings(cfg: SykConfig, realization_index: int) -> np.ndarray:
     return rng.normal(0.0, math.sqrt(cfg.coupling_variance), cfg.term_count)
 
 
+# (term, basis index) entries per np.add.at call; bounds the per-entry
+# temporaries to a few MiB whatever C(N, q) is.
+_CHUNK_ENTRIES = 1 << 18
+
+
 def build_syk_hamiltonian(cfg: SykConfig, realization_index: int) -> ComplexMatrix:
     """H = i^(q/2) sum_(i1<...<iq) J_(i1..iq) psi_i1 ... psi_iq.
 
     Term phase X^x Z^z maps |j> to phase (-1)^|j & z| |j ^ x>, so each term adds
     J phase (-1)^|j & z| to H[j ^ x, j] for every basis index j. The parity of
-    |j & z| is taken by folding bits, as np.bitwise_count needs numpy 2.
+    |j & z| is taken by folding bits, as np.bitwise_count needs numpy 2. Terms
+    are added in chunks, in term order, so H does not depend on the chunk size.
     """
     couplings = syk_couplings(cfg, realization_index)
     x, z, phase = _term_masks(cfg.n_majorana, cfg.q)
+    values = couplings * phase
     j = np.arange(2**cfg.n_qubits, dtype=np.uint64)
-    v = j & z[:, None]
-    for shift in (32, 16, 8, 4, 2, 1):
-        v ^= v >> np.uint64(shift)
-    signs = 1.0 - 2.0 * (v & np.uint64(1))  # float before subtracting: uint64 would wrap
     h = np.zeros((j.size, j.size), dtype=complex)
-    np.add.at(h, (j ^ x[:, None], j), (couplings * phase)[:, None] * signs)
+    step = max(1, _CHUNK_ENTRIES // j.size)
+    for lo in range(0, values.size, step):
+        terms = slice(lo, lo + step)
+        v = j & z[terms, None]
+        for shift in (32, 16, 8, 4, 2, 1):
+            v ^= v >> np.uint64(shift)
+        signs = 1.0 - 2.0 * (v & np.uint64(1))  # float before subtracting: uint64 would wrap
+        np.add.at(h, (j ^ x[terms, None], j), values[terms, None] * signs)
     return h
 
 

@@ -1,9 +1,11 @@
 """Liouville-space generator, information rates, and the rate bound."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from _oracles import expm_unitary, richardson_derivative
+from _oracles import entropy_production_rates_literal, expm_unitary, richardson_derivative
 from scramble.entropy import mutual_information
 from scramble.liouville import (
     bound8_report,
@@ -16,6 +18,7 @@ from scramble.liouville import (
 from scramble.qdense import (
     Bipartition,
     evolve_unitary,
+    haar_unitary,
     kron,
     partial_trace,
     random_density,
@@ -69,6 +72,17 @@ def test_liouvillian_is_skew_hermitian_and_traceless_in_sum():
     w = build_liouvillian(h)
     assert np.abs(w + w.conj().T).max() < 1e-12
     assert abs(w.sum()) < 1e-10
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8, 16])
+def test_liouvillian_equals_kron_form(dim):
+    rng = seeded_rng(915, dim)
+    h = random_hermitian(dim, rng)
+    eye = np.eye(dim, dtype=complex)
+    for basis in (None, haar_unitary(dim, rng)):
+        h_rot = h if basis is None else basis.conj().T @ h @ basis
+        kron_form = -1j * (np.kron(h_rot, eye) - np.kron(eye, h_rot.T))
+        assert np.array_equal(build_liouvillian(h, basis), kron_form)
 
 
 def test_liouvillian_respects_supplied_basis():
@@ -147,6 +161,43 @@ def test_entropy_rates_structure():
     )
     assert rates["slack8"] == pytest.approx(rates["bound_rhs"] - rates["Idot"], rel=1e-12)
     assert rates["Idot"] == pytest.approx(mutual_information_rate(h, rho, part), abs=1e-12)
+
+
+@pytest.mark.parametrize("n_a,n_b", [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3)])
+def test_entropy_production_rates_matches_dense_oracle(n_a, n_b):
+    part = Bipartition(n_a, n_b)
+    d = part.dim
+    rng = seeded_rng(916, n_a, n_b)
+    # Diagonal in the product basis plus one hopping term: in the product
+    # start's eigenbasis most of W's support falls below the pair cutoff.
+    sparse_h = np.diag(rng.normal(size=d)).astype(complex)
+    sparse_h[0, d - 1] = 0.3 + 0.2j
+    sparse_h[d - 1, 0] = 0.3 - 0.2j
+    states = (random_density(d, rng), regularize(zero_state(n_a + n_b)))
+    for h in (random_hermitian(d, rng), sparse_h):
+        for rho in states:
+            got = entropy_production_rates(h, rho, part)
+            want = entropy_production_rates_literal(h, rho, part)
+            assert set(got) == set(want)
+            for key, ref in want.items():
+                assert abs(got[key] - ref) <= 1e-13 * max(1.0, abs(ref)), key
+
+
+def test_entropy_production_rates_peak_memory_stays_near_w():
+    # W at 2|3 is (32^2)^2 complex entries, 16 MiB; the rate sums need only
+    # its d^3 support blocks on top of it.
+    part = Bipartition(2, 3)
+    rng = seeded_rng(917)
+    h = random_hermitian(part.dim, rng)
+    rho = random_density(part.dim, rng)
+    w_bytes = part.dim**4 * 16
+    tracemalloc.start()
+    try:
+        entropy_production_rates(h, rho, part)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * w_bytes, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_exchange_split_preserves_weighted_product():

@@ -149,6 +149,16 @@ def test_syk_hamiltonian_structure_at_n20():
     assert np.array_equal(h, build_syk_hamiltonian(cfg, 0))
 
 
+@pytest.mark.parametrize("chunk_entries", [1, 7 * 32, 100 * 32])
+def test_syk_hamiltonian_is_bitwise_independent_of_chunking(monkeypatch, chunk_entries):
+    # N = 10 is 32 basis states and 210 terms: one chunk by default, and 210,
+    # 30 (7 terms each) or 3 (the last one short) chunks here.
+    cfg = syk_config(n_majorana=10)
+    whole = build_syk_hamiltonian(cfg, 2)
+    monkeypatch.setattr(models, "_CHUNK_ENTRIES", chunk_entries)
+    assert build_syk_hamiltonian(cfg, 2).tobytes() == whole.tobytes()
+
+
 def test_syk_term_monomials_are_orthogonal():
     # Distinct Majorana monomials are distinct Pauli strings up to phase.
     psis = [jordan_wigner_majorana(i, 3) for i in range(1, 7)]
