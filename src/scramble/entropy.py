@@ -21,6 +21,7 @@ from .qdense import (
     TRACE_TOL,
     Bipartition,
     DensityMatrix,
+    as_complex_matrix,
     check_density_matrix,
     clamp_spectrum,
     partial_trace,
@@ -31,6 +32,11 @@ def _clamp_entropy(value: float, name: str) -> float:
     if value < ENTROPY_FLOOR:
         raise ValueError(f"{name} evaluated to {value:.3e}, below round-off tolerance")
     return value if value > 0.0 else 0.0
+
+
+def _check_state(rho: DensityMatrix, name: str) -> DensityMatrix:
+    """check_density_matrix on exactly one state: these functionals take no stack."""
+    return check_density_matrix(as_complex_matrix(rho), name)
 
 
 def _von_neumann(rho: DensityMatrix) -> float:
@@ -45,7 +51,7 @@ def _renyi2(rho: DensityMatrix) -> float:
 
 def von_neumann(rho: DensityMatrix) -> float:
     """-sum(p ln p) over the spectrum, with 0 ln 0 = 0."""
-    return _von_neumann(check_density_matrix(rho))
+    return _von_neumann(_check_state(rho, "rho"))
 
 
 def purity(rho: DensityMatrix) -> float:
@@ -56,7 +62,7 @@ def purity(rho: DensityMatrix) -> float:
 
 def renyi2(rho: DensityMatrix) -> float:
     """-ln tr(rho^2)."""
-    return _renyi2(check_density_matrix(rho))
+    return _renyi2(_check_state(rho, "rho"))
 
 
 def _ket_gram(psi: np.ndarray, part: Bipartition) -> np.ndarray:
@@ -77,7 +83,7 @@ def mutual_information(state: np.ndarray, part: Bipartition) -> float:
     """S_A + S_B - S_S between the two partition blocks; 2 S_A for a ket."""
     if np.ndim(state) == 1:
         return 2.0 * _von_neumann(_ket_gram(state, part))
-    rho_s = check_density_matrix(state, "rho_S")
+    rho_s = _check_state(state, "rho_S")
     s_a = _von_neumann(partial_trace(rho_s, part, "A"))
     s_b = _von_neumann(partial_trace(rho_s, part, "B"))
     s_s = _von_neumann(rho_s)
@@ -88,7 +94,7 @@ def renyi2_mutual_information(state: np.ndarray, part: Bipartition) -> float:
     """Sum of subsystem Renyi-2 entropies; defined here only for pure states."""
     if np.ndim(state) == 1:
         return 2.0 * _renyi2(_ket_gram(state, part))
-    rho_s = check_density_matrix(state, "rho_S")
+    rho_s = _check_state(state, "rho_S")
     rho_a, rho_b = partial_trace(rho_s, part, "A"), partial_trace(rho_s, part, "B")
     p = purity(rho_s)
     if p < 1.0 - PURITY_TOL:

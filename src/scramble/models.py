@@ -127,14 +127,20 @@ def build_syk_hamiltonian(cfg: SykConfig, realization_index: int) -> ComplexMatr
 # Circuit construction
 
 
-def _rx(angle: float) -> np.ndarray:
+# An angled gate takes a float angle, giving a matrix, or a 1-D array of
+# angles, giving the (T, k, k) stack of its matrices.
+
+
+def _rx(angle) -> np.ndarray:
     c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
-    return np.array([[c, -1j * s], [-1j * s, c]])
+    return np.moveaxis(np.array([[c, -1j * s], [-1j * s, c]]), (0, 1), (-2, -1))
 
 
-def _rzz(angle: float) -> np.ndarray:
-    e = np.exp(-0.5j * angle)
-    return np.diag([e, e.conj(), e.conj(), e])
+def _rzz(angle) -> np.ndarray:
+    e = np.exp(-0.5j * np.asarray(angle))
+    m = np.zeros(e.shape + (4, 4), dtype=complex)
+    m[..., range(4), range(4)] = np.stack([e, e.conj(), e.conj(), e], axis=-1)
+    return m
 
 
 # name -> (arity, matrix): a fixed matrix, a function of the angle for the
@@ -160,8 +166,11 @@ class Gate:
     angle: float | None = None
     matrix: np.ndarray | None = None
 
-    def realized(self, t: float = 1.0) -> np.ndarray:
-        """The gate's matrix with its angle scaled by t (first target = leading factor)."""
+    def realized(self, t=1.0) -> np.ndarray:
+        """The gate's matrix with its angle scaled by t (first target = leading factor).
+
+        For an angled gate a 1-D array of times gives a (T, k, k) stack.
+        """
         fixed = _GATES[self.name][1]
         if callable(fixed):
             return fixed(self.angle * t)
@@ -216,23 +225,35 @@ class CircuitSpec:
             _validate_gate(gate, i, self.n_qubits)
 
 
-def realize_circuit(spec: CircuitSpec, t: float = 1.0) -> ComplexMatrix:
+def realize_circuit(spec: CircuitSpec, t=1.0) -> ComplexMatrix:
     """Full-register unitary with every angle scaled by t; list order is application order.
 
-    Each gate is contracted onto its target axes of U, held as a (2,)*n x d tensor.
+    A float t gives one (d, d) matrix, a 1-D array of T times a (T, d, d) stack.
+    U is held as a lead + (2,)*n + (d,) tensor; each gate moves its target
+    axes to the front, acts on them as one (2^k, 2^k) matrix (a stack of them
+    for an angled gate) and moves them back.
     """
     n, d = spec.n_qubits, 2**spec.n_qubits
-    u = np.eye(d, dtype=complex).reshape((2,) * n + (d,))
+    t = np.asarray(t, dtype=float)
+    if t.ndim > 1:
+        raise ValueError(f"t must be a float or a 1-D array of times, got ndim={t.ndim}")
+    lead = t.shape
+    u = np.broadcast_to(np.eye(d, dtype=complex), lead + (d, d)).reshape(lead + (2,) * n + (d,))
     for gate in spec.gates:
         m = len(gate.targets)
-        g = gate.realized(t).reshape((2,) * (2 * m))
-        u = np.tensordot(g, u, axes=(range(m, 2 * m), gate.targets))
-        u = np.moveaxis(u, range(m), gate.targets)
-    return u.reshape(d, d)
+        front = range(t.ndim, t.ndim + m)
+        axes = [t.ndim + q for q in gate.targets]
+        moved = np.moveaxis(u, axes, front)
+        acted = gate.realized(t) @ moved.reshape(lead + (2**m, -1))
+        u = np.moveaxis(acted.reshape(moved.shape), front, axes)
+    return u.reshape(lead + (d, d))
 
 
-def circuit_unitary_family(spec: CircuitSpec) -> Callable[[float], ComplexMatrix]:
-    """t -> U(t) with all gate angles scaled linearly by t."""
+def circuit_unitary_family(spec: CircuitSpec) -> Callable[[np.ndarray], ComplexMatrix]:
+    """Times -> U(t) with all gate angles scaled linearly by t.
+
+    A 1-D array of T times maps to the (T, d, d) stack (see realize_circuit).
+    """
     return lambda t: realize_circuit(spec, t)
 
 

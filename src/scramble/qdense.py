@@ -6,11 +6,17 @@ first tensor factor, hbar = 1, eigenvector phases are deterministic, and all
 randomness flows through explicitly seeded PCG64 generators. A public entry
 point validates each caller-supplied state once; a function never re-validates
 a state it derived itself.
+
+A time grid is evaluated as a leading stack axis: the validators, eigh,
+partial_trace and the unitaries take (..., d, d) arrays and act slice by
+slice. Grids are cut into chunks (time_chunks) so that the largest stacked
+array stays within a fixed number of complex entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -29,6 +35,10 @@ PAIR_CUTOFF = 1e-12  # Liouville entries at or below this are skipped in pair su
 GATE_UNITARITY_TOL = 1e-12
 SLACK_TOL = -1e-9  # a bound slack below this is a violation
 OBAR_T0_TOL = 1e-12  # allowed |Obar(0) - 1|
+
+# Complex entries (256 KiB) of the largest array one chunk of a time grid
+# stacks; one sample per chunk when a single sample is larger.
+_STACK_ENTRIES = 1 << 14
 
 # Single-qubit operator basis, reused across modules.
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -64,37 +74,69 @@ class Bipartition:
         return self.n_a + self.n_b
 
 
-def as_complex_matrix(a) -> ComplexMatrix:
-    """Coerce to a 2-D complex128 array, rejecting NaN/Inf entries."""
+def as_complex_stack(a) -> ComplexMatrix:
+    """Coerce to a complex128 matrix or (..., n, m) stack of them, rejecting NaN/Inf."""
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2:
+    if m.ndim < 2:
         raise ValueError(f"expected a matrix, got ndim={m.ndim}")
     if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
     return m
 
 
+def as_complex_matrix(a) -> ComplexMatrix:
+    """Coerce to a 2-D complex128 array, rejecting NaN/Inf entries."""
+    m = as_complex_stack(a)
+    if m.ndim != 2:
+        raise ValueError(f"expected a matrix, got ndim={m.ndim}")
+    return m
+
+
+def dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix in a (..., n, m) stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
 def check_hermitian(m: ComplexMatrix, name: str = "matrix") -> ComplexMatrix:
-    """Coerce to a square complex matrix that is Hermitian to tolerance."""
-    m = as_complex_matrix(m)
-    if m.shape[0] != m.shape[1]:
+    """Coerce to a square complex matrix, or a stack of them, Hermitian to tolerance."""
+    m = as_complex_stack(m)
+    if m.shape[-2] != m.shape[-1]:
         raise ValueError(f"{name} must be square, got {m.shape}")
-    dev = np.abs(m - m.conj().T).max()
+    dev = np.abs(m - dagger(m)).max()
     if dev > HERMITICITY_TOL:
         raise ValueError(f"{name} not Hermitian: max deviation {dev:.3e}")
     return m
 
 
 def check_density_matrix(rho: DensityMatrix, name: str = "rho") -> DensityMatrix:
-    """Validate Hermiticity, unit trace and positivity (to tolerance)."""
+    """Validate Hermiticity, unit trace and positivity (to tolerance).
+
+    A (..., d, d) stack passes only if every slice does; the error then names
+    the first failing slice by its flat index over the leading axes.
+    """
     rho = check_hermitian(rho, name)
-    tr = rho.trace()
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"{name} trace {tr} differs from 1")
-    evals = np.linalg.eigvalsh(rho)
-    if evals.min() < EIGENVALUE_FLOOR:
-        raise ValueError(f"{name} not positive semidefinite: min eigenvalue {evals.min():.3e}")
+    where = "" if rho.ndim == 2 else "[{}]"
+    tr = np.trace(rho, axis1=-2, axis2=-1).reshape(-1)
+    bad = np.flatnonzero(np.abs(tr - 1.0) > TRACE_TOL)
+    if bad.size:
+        raise ValueError(f"{name}{where.format(bad[0])} trace {tr[bad[0]]} differs from 1")
+    lowest = np.linalg.eigvalsh(rho)[..., 0].reshape(-1)
+    bad = np.flatnonzero(lowest < EIGENVALUE_FLOOR)
+    if bad.size:
+        raise ValueError(f"{name}{where.format(bad[0])} not positive semidefinite: "
+                         f"min eigenvalue {lowest[bad[0]]:.3e}")
     return rho
+
+
+def float_or_array(values: np.ndarray):
+    """A 0-d result (from one matrix) as a float; a result over a stack as an array."""
+    return float(values) if np.ndim(values) == 0 else values
+
+
+def time_chunks(n: int, entries_per_sample: int) -> list[slice]:
+    """Consecutive slices of range(n), each stacking at most _STACK_ENTRIES entries."""
+    step = max(1, _STACK_ENTRIES // entries_per_sample)
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
 def clamp_spectrum(evals: np.ndarray) -> np.ndarray:
@@ -116,15 +158,15 @@ def kron_all(*factors: ComplexMatrix) -> ComplexMatrix:
 
 
 def partial_trace(rho: DensityMatrix, part: Bipartition, keep: str) -> DensityMatrix:
-    """Reduced state of subsystem ``keep`` ("A" or "B")."""
+    """Reduced state of subsystem ``keep`` ("A" or "B"), slice by slice on a stack."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (part.dim, part.dim):
+    if rho.shape[-2:] != (part.dim, part.dim):
         raise ValueError(f"state dimension {rho.shape} does not match partition dim {part.dim}")
-    blocks = rho.reshape(part.dim_a, part.dim_b, part.dim_a, part.dim_b)
+    blocks = rho.reshape(rho.shape[:-2] + (part.dim_a, part.dim_b, part.dim_a, part.dim_b))
     if keep == "A":
-        return np.einsum("ibjb->ij", blocks)
+        return np.einsum("...ibjb->...ij", blocks)
     if keep == "B":
-        return np.einsum("aiaj->ij", blocks)
+        return np.einsum("...aiaj->...ij", blocks)
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
@@ -134,10 +176,9 @@ def _fix_phases(vecs: np.ndarray) -> np.ndarray:
     Ties resolve to the lowest index (np.argmax behavior), giving a
     deterministic basis for fixed input bits even in degenerate subspaces.
     """
-    idx = np.argmax(np.abs(vecs), axis=0)
-    pivots = vecs[idx, np.arange(vecs.shape[1])]
-    phases = pivots / np.abs(pivots)
-    return vecs / phases[np.newaxis, :]
+    idx = np.argmax(np.abs(vecs), axis=-2)
+    pivots = np.take_along_axis(vecs, idx[..., np.newaxis, :], axis=-2)
+    return vecs / (pivots / np.abs(pivots))
 
 
 def eigh(h: ComplexMatrix) -> tuple[np.ndarray, ComplexMatrix]:
@@ -147,10 +188,23 @@ def eigh(h: ComplexMatrix) -> tuple[np.ndarray, ComplexMatrix]:
     return evals, _fix_phases(vecs)
 
 
-def evolve_unitary(h: ComplexMatrix, t: float) -> ComplexMatrix:
-    """U(t) = exp(-i h t) via eigendecomposition (hbar = 1)."""
-    evals, vecs = eigh(h)
-    return (vecs * np.exp(-1j * evals * t)) @ vecs.conj().T
+def unitary_family(evals: np.ndarray, vecs: ComplexMatrix) -> Callable[..., ComplexMatrix]:
+    """t -> V exp(-i E t) V^dag from one eigensystem (E, V) of H.
+
+    A float t gives one (d, d) matrix, a 1-D array of T times a (T, d, d) stack.
+    """
+    vecs_h = dagger(vecs)
+
+    def u_of_t(t) -> ComplexMatrix:
+        phases = np.exp(-1j * evals * np.asarray(t, dtype=float)[..., np.newaxis])
+        return (vecs * phases[..., np.newaxis, :]) @ vecs_h
+
+    return u_of_t
+
+
+def evolve_unitary(h: ComplexMatrix, t) -> ComplexMatrix:
+    """U(t) = exp(-i h t) via eigendecomposition (hbar = 1); t a float or a 1-D array."""
+    return unitary_family(*eigh(h))(t)
 
 
 def seeded_rng(seed: int, *branch: int) -> np.random.Generator:

@@ -33,10 +33,15 @@ from .qdense import (
     ComplexMatrix,
     DensityMatrix,
     as_complex_matrix,
+    as_complex_stack,
     check_density_matrix,
+    dagger,
     eigh,
+    float_or_array,
     kron,
     partial_trace,
+    time_chunks,
+    unitary_family,
 )
 
 
@@ -92,21 +97,22 @@ def averaged_otoc(
     u_t: ComplexMatrix,
     cfg: OtocConfig,
     state: DensityMatrix | None = None,
-) -> float:
+):
     """Pauli-group average of <O_A O_B(t) O_A O_B(t)>; equals 1 at t = 0.
 
-    ``state`` is the expectation state and is only consulted when
-    cfg.expectation_state == "initial_state".
+    ``u_t`` is one (d, d) unitary, giving a float, or a (T, d, d) stack,
+    giving a (T,) array. ``state`` is the expectation state and is only
+    consulted when cfg.expectation_state == "initial_state".
     """
-    u_t = as_complex_matrix(u_t)
-    if u_t.shape != (part.dim, part.dim):
-        raise ValueError(f"unitary shape {u_t.shape} does not match partition dim {part.dim}")
+    u_t = _unitary_stack(part, u_t)
     d_a, d_b = part.dim_a, part.dim_b
     if cfg.expectation_state == "maximally_mixed":
-        y = u_t.reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3).reshape(d_a * d_a, d_b * d_b)
+        lead = u_t.shape[:-2]
+        y = u_t.reshape(lead + (d_a, d_b, d_a, d_b)).swapaxes(-3, -2)
+        y = y.reshape(lead + (d_a * d_a, d_b * d_b))
         # |Y Y^dag|_F = |Y^dag Y|_F: form the Gram matrix on the smaller side.
-        gram = y @ y.conj().T if d_a <= d_b else y.conj().T @ y
-        return float(np.vdot(gram, gram).real) / part.dim**2
+        gram = y @ dagger(y) if d_a <= d_b else dagger(y) @ y
+        return float_or_array(_frobenius_sq(gram) / part.dim**2)
     if state is None:
         raise ValueError("initial_state expectation requires a state")
     state = check_density_matrix(state)
@@ -115,17 +121,36 @@ def averaged_otoc(
     return _initial_state_otoc(part, u_t, state)
 
 
-def _initial_state_otoc(part: Bipartition, u_t: ComplexMatrix, state: DensityMatrix) -> float:
+def _unitary_stack(part: Bipartition, u_t) -> ComplexMatrix:
+    u_t = as_complex_stack(u_t)
+    if u_t.ndim > 3 or u_t.shape[-2:] != (part.dim, part.dim):
+        raise ValueError(f"unitary shape {u_t.shape} does not match partition dim {part.dim}")
+    return u_t
+
+
+def _frobenius_sq(m: np.ndarray) -> np.ndarray:
+    """|M|_F^2 of each matrix in a (..., n, n) stack.
+
+    One (1, n^2) @ (n^2, 1) product per slice: the same BLAS dot as np.vdot,
+    so the value is bitwise that of a single-matrix vdot.
+    """
+    row = m.reshape(m.shape[:-2] + (1, -1))
+    return (row.conj() @ row.swapaxes(-1, -2))[..., 0, 0].real
+
+
+def _initial_state_otoc(part: Bipartition, u_t: ComplexMatrix, state: DensityMatrix):
     d_a, d_b = part.dim_a, part.dim_b
     # The identity applied to both string sums: two contractions of U with U^dag.
-    v = u_t.reshape(d_a, d_b, d_a, d_b)
-    r = (u_t @ state).reshape(d_a, d_b, d_a, d_b)
-    s1 = np.einsum("xyab,zycb->xazc", r, v.conj())
-    s2 = np.einsum("xyab,zycb->xazc", v, v.conj())
-    mean = complex(np.einsum("xazc,zcxa->", s1, s2)) / part.dim
-    if abs(mean.imag) > IMAG_TOL:
-        raise ValueError(f"averaged OTOC imaginary residue {mean.imag:.3e} exceeds tolerance")
-    return float(mean.real)
+    shape = u_t.shape[:-2] + (d_a, d_b, d_a, d_b)
+    v = u_t.reshape(shape)
+    r = (u_t @ state).reshape(shape)
+    s1 = np.einsum("...xyab,...zycb->...xazc", r, v.conj())
+    s2 = np.einsum("...xyab,...zycb->...xazc", v, v.conj())
+    mean = np.einsum("...xazc,...zcxa->...", s1, s2) / part.dim
+    residue = np.abs(mean.imag).max()
+    if residue > IMAG_TOL:
+        raise ValueError(f"averaged OTOC imaginary residue {residue:.3e} exceeds tolerance")
+    return float_or_array(mean.real)
 
 
 def stabilizer_states() -> list[np.ndarray]:
@@ -146,45 +171,45 @@ def modified_otoc(
     u_t: ComplexMatrix,
     phi_set: Sequence[np.ndarray] | None = None,
     psi: np.ndarray | None = None,
-) -> float:
+):
     """State-transfer OTOC with O_1 = |psi><phi| on the first qubit.
 
     Averages over the supplied phi set (default: six stabilizer states) and
     the B-register Pauli strings, in the maximally mixed expectation state.
     The string average is exact: sum_P tr(X Q_P Y Q_P) with Q_P = U^dag P U
     equals d_B tr(tr_B(U X U^dag) tr_B(U Y U^dag)), and with X = O_1^dag,
-    Y = O_1 that is d_B |tr_B(U O_1 U^dag)|_F^2. Its t = 0 value is exactly 1/2.
+    Y = O_1 that is d_B |K_phi|_F^2, K_phi = tr_B(U O_1 U^dag). Its t = 0 value
+    is exactly 1/2. K_phi is linear in conj(phi): with K_j = tr_B(U (|psi><j|
+    x I_B) U^dag), sum_phi |K_phi|_F^2 = sum_jk M_jk <K_j, K_k> where
+    M = sum_phi phi phi^dag, so two partial traces serve every phi.
+
+    ``u_t`` is one (d, d) unitary, giving a float, or a (T, d, d) stack,
+    giving a (T,) array.
     """
     if part.n_a != 1:
         raise ValueError("the state-transfer OTOC requires a single-qubit A subsystem")
-    u_t = as_complex_matrix(u_t)
-    if u_t.shape != (part.dim, part.dim):
-        raise ValueError(f"unitary shape {u_t.shape} does not match partition dim {part.dim}")
+    u_t = _unitary_stack(part, u_t)
     if phi_set is None:
         phi_set = stabilizer_states()
     if psi is None:
         psi = np.array([1.0, 0.0], dtype=complex)
-    psi = np.asarray(psi, dtype=complex)
-    eye_b = np.eye(part.dim_b, dtype=complex)
-    total = 0.0
-    for phi in phi_set:
-        omega = np.outer(psi, np.asarray(phi, dtype=complex).conj())
-        k = partial_trace(u_t @ np.kron(omega, eye_b) @ u_t.conj().T, part, "A")
-        total += np.vdot(k, k).real
-    return float(total) / (len(phi_set) * part.dim * part.dim_b)
+    phis = np.asarray(phi_set, dtype=complex)
+    if phis.ndim != 2 or phis.shape[1] != 2:
+        raise ValueError(f"phi_set must hold single-qubit states, got shape {phis.shape}")
+    moment = phis.T @ phis.conj()
+    v = u_t.reshape(u_t.shape[:-2] + (2, part.dim_b, 2, part.dim_b))
+    u_psi = np.einsum("...xyab,a->...xyb", v, np.asarray(psi, dtype=complex))
+    k = np.einsum("...xyb,...zyjb->...jxz", u_psi, v.conj())
+    gram = np.einsum("...jxz,...kxz->...jk", k.conj(), k)
+    total = np.einsum("jk,...jk->...", moment, gram).real
+    return float_or_array(total / (len(phis) * part.dim * part.dim_b))
 
 
-def _unitary_supplier(h_or_unitary) -> Callable[[float], ComplexMatrix]:
+def _unitary_supplier(h_or_unitary) -> Callable[[np.ndarray], ComplexMatrix]:
+    """A map from a 1-D array of times to the (T, d, d) stack of U(t)."""
     if callable(h_or_unitary):
         return h_or_unitary
-    h = as_complex_matrix(h_or_unitary)
-    evals, vecs = eigh(h)
-    vecs_h = vecs.conj().T
-
-    def u_of_t(t: float) -> ComplexMatrix:
-        return (vecs * np.exp(-1j * evals * t)) @ vecs_h
-
-    return u_of_t
+    return unitary_family(*eigh(as_complex_matrix(h_or_unitary)))
 
 
 def bound_report(
@@ -199,16 +224,17 @@ def bound_report(
     """Evolve a pure product state as a ket and sample every bound-9 channel.
 
     ``h_or_unitary`` is either a Hermitian generator (U(t) = exp(-iHt)) or a
-    callable t -> U(t). The grid must start at t = 0 so the averaged-OTOC
-    baseline is its own first sample. Returns the channels keyed by their CSV
-    column names: t, I, I2, Obar, deltaO, slack9 = I - deltaO, and deltaMO
-    when ``include_modified`` is set.
+    callable that maps a 1-D array of T times to the (T, d, d) stack of U(t).
+    The grid is evaluated in chunks of times (qdense.time_chunks) and must
+    start at t = 0, so the averaged-OTOC baseline is its own first sample.
+    Returns the channels keyed by their CSV column names: t, I, I2, Obar,
+    deltaO, slack9 = I - deltaO, and deltaMO when ``include_modified`` is set.
     """
     cfg = cfg or OtocConfig()
     times = np.asarray(times, dtype=float)
     if times.size < 1 or times[0] != 0.0:
         raise ValueError("time grid must start at t = 0")
-    initial = check_density_matrix(initial, "initial")
+    initial = check_density_matrix(as_complex_matrix(initial), "initial")
     rho_a = partial_trace(initial, part, "A")
     if purity(initial) < 1.0 - PURITY_TOL:
         raise ValueError("initial state must be pure")
@@ -220,22 +246,25 @@ def bound_report(
     col = initial[:, int(np.argmax(initial.diagonal().real))]
     psi_0 = col / np.linalg.norm(col)
     u_of_t = _unitary_supplier(h_or_unitary)
-    n = times.size
+    n, d = times.size, part.dim
     mi = np.empty(n)
     mi2 = np.empty(n)
     obar = np.empty(n)
     mo = np.empty(n) if include_modified else None
-    for i, t in enumerate(times):
-        u = u_of_t(float(t))
-        psi_t = u @ psi_0
-        mi[i] = mutual_information(psi_t, part)
-        mi2[i] = renyi2_mutual_information(psi_t, part)
+    for chunk in time_chunks(n, d * d):
+        u = u_of_t(times[chunk])
+        want = (chunk.stop - chunk.start, d, d)
+        if np.shape(u) != want:
+            raise ValueError(f"U(t) of {want[0]} times has shape {np.shape(u)}, expected {want}")
+        for i, psi_t in enumerate(u @ psi_0, start=chunk.start):
+            mi[i] = mutual_information(psi_t, part)
+            mi2[i] = renyi2_mutual_information(psi_t, part)
         if cfg.expectation_state == "initial_state":
-            obar[i] = _initial_state_otoc(part, u, initial)
+            obar[chunk] = _initial_state_otoc(part, u, initial)
         else:
-            obar[i] = averaged_otoc(part, u, cfg)
+            obar[chunk] = averaged_otoc(part, u, cfg)
         if mo is not None:
-            mo[i] = modified_otoc(part, u, psi=psi)
+            mo[chunk] = modified_otoc(part, u, psi=psi)
     delta_obar = obar[0] - obar
     table = {"t": times, "I": mi, "I2": mi2, "Obar": obar, "deltaO": delta_obar,
              "slack9": mi - delta_obar}

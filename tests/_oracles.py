@@ -167,7 +167,9 @@ def entropy_production_rates_literal(h: np.ndarray, rho_s: np.ndarray, part) -> 
     a_liou = wa[rows // d_b]
     b_liou = wb[rows % d_b]
 
-    mask = (np.abs(w) > PAIR_CUTOFF) & (np.abs(wt) > PAIR_CUTOFF)
+    # A diagonal pair m = m' has W/W^T = 1 exactly, so it is left out rather
+    # than summed as the round-off of log(x/x).
+    mask = (np.abs(w) > PAIR_CUTOFF) & (np.abs(wt) > PAIR_CUTOFF) & ~np.eye(d * d, dtype=bool)
     w_safe = np.where(mask, w, 1.0)
     wt_safe = np.where(mask, wt, 1.0)
 

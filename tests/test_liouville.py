@@ -200,6 +200,23 @@ def test_entropy_production_rates_peak_memory_stays_near_w():
     assert peak < 1.5 * w_bytes, f"peak {peak / 2**20:.1f} MiB"
 
 
+def test_exchange_channel_is_exactly_zero_for_a_real_generator():
+    # H is diagonal plus one real hop, so it stays real in the product
+    # eigenbasis of the regularized |000>: every pair has W/W^T = 1 and the
+    # exchange term vanishes. The m = m' pairs once left log(x/x) ~ 1e-16
+    # behind, which made SdotE ~ 1e-15 and coeffC a ratio of round-off (177).
+    part = Bipartition(2, 1)
+    h = np.diag(0.37 * np.arange(part.dim)).astype(complex)
+    h[1, 2] = h[2, 1] = 0.5
+    rho = regularize(zero_state(3))
+    rates = entropy_production_rates(h, rho, part)
+    assert rates["SdotE"] == 0.0
+    assert rates["coeffC"] == 0.0
+    want = entropy_production_rates_literal(h, rho, part)
+    for key, ref in want.items():
+        assert abs(rates[key] - ref) <= 1e-13 * max(1.0, abs(ref)), key
+
+
 def test_exchange_split_preserves_weighted_product():
     # coeffC is defined so coeffC * SdotE reproduces the sum of the two
     # coefficient-weighted exchange pieces.

@@ -174,6 +174,21 @@ def test_modified_otoc_custom_source_and_targets():
     assert modified_otoc(part, u, phi_set=phis, psi=psi) == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.mark.parametrize("n_b", [1, 2])
+@pytest.mark.parametrize("custom", [False, True], ids=["stabilizer", "custom"])
+def test_modified_otoc_moment_form_matches_phi_loop(n_b, custom):
+    # The closed form sums the phi set through its 2x2 moment matrix; the
+    # oracle loops over every phi and every B-register Pauli string.
+    part = Bipartition(1, n_b)
+    rng = seeded_rng(502, n_b)
+    u = haar_unitary(part.dim, rng)
+    phis = [haar_state(2, rng) for _ in range(3)] if custom else stabilizer_states()
+    psi = haar_state(2, rng) if custom else np.array([1.0, 0.0], dtype=complex)
+    expected = modified_otoc_literal(n_b, u, phis, psi)
+    got = modified_otoc(part, u, phi_set=phis if custom else None, psi=psi)
+    assert abs(got - expected) <= 1e-13
+
+
 def test_modified_otoc_needs_single_qubit_a():
     with pytest.raises(ValueError, match="single-qubit"):
         modified_otoc(Bipartition(2, 1), np.eye(8))

@@ -98,16 +98,20 @@ def test_hermiticity_is_checked_by_one_helper(check):
 
 @pytest.fixture
 def density_checks(monkeypatch):
-    """Count check_density_matrix calls through every module that imports it."""
-    calls = []
+    """The states passed to check_density_matrix through every module that imports it.
+
+    One entry per state: a (T, d, d) stack adds its name T times.
+    """
+    states = []
 
     def counted(*args, **kwargs):
-        calls.append(args[1] if len(args) > 1 else kwargs.get("name", "rho"))
+        name = args[1] if len(args) > 1 else kwargs.get("name", "rho")
+        states.extend([name] * (np.size(args[0]) // np.shape(args[0])[-1] ** 2))
         return qdense.check_density_matrix(*args, **kwargs)
 
     for module in (entropy, scrambling, liouville):
         monkeypatch.setattr(module, "check_density_matrix", counted)
-    return calls
+    return states
 
 
 def test_each_state_is_validated_once(density_checks):
@@ -123,8 +127,9 @@ def test_each_state_is_validated_once(density_checks):
     assert len(density_checks) == 1
     density_checks.clear()
 
+    # The start, then each rho(t) once, in stacks of a few samples.
     bound8_report(h, regularize(initial), part, times)
-    assert len(density_checks) == times.size + 1
+    assert density_checks == ["initial"] + ["rho_S"] * times.size
     density_checks.clear()
 
     # The initial-state expectation reuses the already-checked start.
