@@ -116,6 +116,10 @@ def _parse_otoc(data: dict) -> OtocConfig:
     for key in block:
         _expect(key in ("expectation_state", "averaging"), f"otoc.{key}: unknown field")
     kwargs = {key: _field(block, key, str, "otoc") for key in block}
+    # The Pauli-group average is exact; configs may still name its one value.
+    averaging = kwargs.pop("averaging", "exact_enumeration")
+    _expect(averaging == "exact_enumeration", f"otoc.averaging: unknown value {averaging!r}; "
+            "only 'exact_enumeration' is supported")
     try:
         return OtocConfig(**kwargs)
     except ValueError as exc:

@@ -41,16 +41,14 @@ def regularize(rho: DensityMatrix, delta: float = DEFAULT_DELTA) -> DensityMatri
     return (1.0 - delta) * rho + delta * np.eye(d) / d
 
 
-def _marginal_eigensystems(rho_s: DensityMatrix, part: Bipartition):
-    """Descending-eigenvalue eigensystems of both marginals, fixed phases."""
+def _full_rank_marginals(rho_s: DensityMatrix, part: Bipartition):
+    """Descending-eigenvalue eigensystems of both marginals, fixed phases.
+
+    Refuses a marginal with an eigenvalue below RANK_TOL.
+    """
     wa, va = eigh(partial_trace(rho_s, part, "A"))
     wb, vb = eigh(partial_trace(rho_s, part, "B"))
-    return wa[..., ::-1], va[..., ::-1], wb[..., ::-1], vb[..., ::-1]
-
-
-def _full_rank_marginals(rho_s: DensityMatrix, part: Bipartition):
-    """The marginal eigensystems; refuses a marginal below RANK_TOL."""
-    wa, va, wb, vb = _marginal_eigensystems(rho_s, part)
+    wa, va, wb, vb = wa[..., ::-1], va[..., ::-1], wb[..., ::-1], vb[..., ::-1]
     for evals, label in ((wa, "A"), (wb, "B")):
         if evals.min() < RANK_TOL:
             raise ValueError(
@@ -66,13 +64,6 @@ def _product_basis(va: ComplexMatrix, vb: ComplexMatrix) -> ComplexMatrix:
     d = va.shape[-1] * vb.shape[-1]
     outer = va[..., :, np.newaxis, :, np.newaxis] * vb[..., np.newaxis, :, np.newaxis, :]
     return outer.reshape(lead + (d, d))
-
-
-def instantaneous_basis(rho_s: DensityMatrix, part: Bipartition) -> ComplexMatrix:
-    """V = V_A x V_B diagonalizing both marginals, eigenvalues descending."""
-    rho_s = check_density_matrix(as_complex_matrix(rho_s), "rho_S")
-    _, va, _, vb = _marginal_eigensystems(rho_s, part)
-    return _product_basis(va, vb)
 
 
 def build_liouvillian(h: ComplexMatrix, basis: ComplexMatrix | None = None) -> ComplexMatrix:
@@ -125,19 +116,31 @@ def mutual_information_rate(h: ComplexMatrix, rho_s: DensityMatrix, part: Bipart
     return float_or_array(val.real)
 
 
-def _support_block(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """|W| and log(W/W^T) on a (..., d, d, d) stack of one support block of W.
+def _swap_difference(a: np.ndarray) -> np.ndarray:
+    """a[..., m, m', k] - a[..., m', m, k]."""
+    return a - a.swapaxes(-3, -2)
 
-    ``block[..., m, m', k]`` pairs with ``block[..., m', m, k]`` in W^T. Both
-    arrays are zero where either |W| entry is below the cutoff, and on the
-    m = m' diagonal, where the ratio is exactly 1 but x/x can round off it.
-    Logs are principal-branch.
+
+def _support_block(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """|W|, Re log(W/W^T) and |Im log(W/W^T)| on a (..., d, d, d) support block.
+
+    ``block[..., m, m', k]`` pairs with ``block[..., m', m, k]`` in W^T. Every
+    channel uses only |log(W/W^T) + real shift|, so the log is taken in real
+    arithmetic: Re = ln|W| - ln|W^T|, and the principal branch enters through
+    |Im| = min(|dphi|, 2 pi - |dphi|) with dphi = arg W - arg W^T, which gives
+    pi from either side of the cut at W/W^T = -1. All three arrays are zero
+    where either |W| entry is below the cutoff, and on the m = m' diagonal,
+    where the ratio is exactly 1.
     """
     mag = np.abs(block)
     off_diagonal = ~np.eye(block.shape[-2], dtype=bool)[:, :, np.newaxis]
     mask = (mag > PAIR_CUTOFF) & (mag.swapaxes(-3, -2) > PAIR_CUTOFF) & off_diagonal
-    ratio = np.where(mask, block, 1.0) / np.where(mask, block.swapaxes(-3, -2), 1.0)
-    return np.where(mask, mag, 0.0), np.log(ratio)
+    re = _swap_difference(np.log(np.where(mask, mag, 1.0)))
+    dphi = np.abs(_swap_difference(np.angle(block)))
+    skipped = ~mask
+    mag[skipped] = 0.0
+    dphi[skipped] = 0.0
+    return mag, re, np.minimum(dphi, 2.0 * np.pi - dphi, out=dphi)
 
 
 def entropy_production_rates(h: ComplexMatrix, rho_s: DensityMatrix, part: Bipartition):
@@ -145,7 +148,9 @@ def entropy_production_rates(h: ComplexMatrix, rho_s: DensityMatrix, part: Bipar
 
     All sums run over ordered Liouville index pairs (m, m'), skipping pairs
     where either |W| entry is below the cutoff and the pairs m = m', whose
-    log(W/W^T) is exactly 0; logs are principal-branch.
+    log(W/W^T) is exactly 0. Each term is |W| |log(W/W^T) + s| with a real
+    shift s (0 for the exchange sums), evaluated as |W| hypot(Re + s, |Im|)
+    from _support_block's real parts; logs are principal-branch.
     W is nonzero only where m = (r, c) and m' = (r', c') share c or share r,
     so the sums run over those two d^3 blocks: every other pair has W = 0.
     The exchange channel is reported as SdotE = S_E^A + S_E^B with coeffC
@@ -166,17 +171,17 @@ def entropy_production_rates(h: ComplexMatrix, rho_s: DensityMatrix, part: Bipar
 
     # Same column, [r, r', c]: the weights w(r') enter as the prefactor and as
     # the real shift log(w(r')/w(r)), which keeps the principal branch.
-    mag_c, log_c = _support_block(w.diagonal(axis1=-3, axis2=-1))
+    mag_c, re_c, im_c = _support_block(w.diagonal(axis1=-3, axis2=-1))
     # Same row, [c, c', r]: the weight ratio is 1. Pairs with r = r' and c = c'
     # lie in both blocks; log 1 = 0, so both leave them out.
-    mag_r, log_r = _support_block(w.diagonal(axis1=-4, axis2=-2))
-    exchange_c = (mag_c * np.abs(log_c)).sum(axis=(-3, -1))
-    exchange_r = (mag_r * np.abs(log_r)).sum(axis=(-3, -2))
+    mag_r, re_r, im_r = _support_block(w.diagonal(axis1=-4, axis2=-2))
+    exchange_c = (mag_c * np.hypot(re_c, im_c)).sum(axis=(-3, -1))
+    exchange_r = (mag_r * np.hypot(re_r, im_r)).sum(axis=(-3, -2))
 
     def local_sums(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(S_dot, S_E) for the marginal weight of each row index r."""
         shift = np.log(weights[..., np.newaxis, :] / weights[..., :, np.newaxis])
-        s_dot_c = (mag_c * np.abs(log_c + shift[..., np.newaxis])).sum(axis=(-3, -1))
+        s_dot_c = (mag_c * np.hypot(re_c + shift[..., np.newaxis], im_c)).sum(axis=(-3, -1))
         same_r = (weights * exchange_r).sum(axis=-1)
         return ((weights * s_dot_c).sum(axis=-1) + same_r,
                 (weights * exchange_c).sum(axis=-1) + same_r)

@@ -146,10 +146,6 @@ def clamp_spectrum(evals: np.ndarray) -> np.ndarray:
     return out
 
 
-def kron(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def kron_all(*factors: ComplexMatrix) -> ComplexMatrix:
     out = np.asarray(factors[0], dtype=complex)
     for f in factors[1:]:

@@ -1,4 +1,4 @@
-"""OTOCs, Pauli-group averaged OTOCs, and the mutual-information bound report.
+"""Averaged and state-transfer OTOCs, and the mutual-information bound report.
 
 The averaged OTOC treats the Pauli group as the operator-averaging surrogate
 for the Haar measure. The 4^n strings on n qubits satisfy the twirl identity
@@ -38,7 +38,6 @@ from .qdense import (
     dagger,
     eigh,
     float_or_array,
-    kron,
     partial_trace,
     time_chunks,
     unitary_family,
@@ -47,49 +46,13 @@ from .qdense import (
 
 @dataclass(frozen=True)
 class OtocConfig:
-    """Expectation-state choice for operator-averaged OTOCs.
-
-    ``averaging`` accepts only "exact_enumeration": the exact Pauli-group
-    average, evaluated in closed form.
-    """
+    """Expectation-state choice for operator-averaged OTOCs."""
 
     expectation_state: str = "maximally_mixed"
-    averaging: str = "exact_enumeration"
 
     def __post_init__(self):
         if self.expectation_state not in ("maximally_mixed", "initial_state"):
             raise ValueError(f"expectation_state: unknown value {self.expectation_state!r}")
-        if self.averaging != "exact_enumeration":
-            raise ValueError(
-                f"averaging: unknown value {self.averaging!r}; "
-                "only 'exact_enumeration' is supported"
-            )
-
-
-def otoc(
-    o_a: ComplexMatrix,
-    o_b: ComplexMatrix,
-    u_t: ComplexMatrix,
-    state: DensityMatrix,
-) -> complex:
-    """<O_A^dag O_B(t)^dag O_A O_B(t)> with O_B(t) = U^dag O_B U.
-
-    o_a acts on the leading tensor factor (embedded as o_a x I_B), o_b on the
-    trailing one (I_A x o_b); subsystem sizes are read off the operator dims.
-    """
-    o_a = as_complex_matrix(o_a)
-    o_b = as_complex_matrix(o_b)
-    u_t = as_complex_matrix(u_t)
-    state = as_complex_matrix(state)
-    d = o_a.shape[0] * o_b.shape[0]
-    if u_t.shape != (d, d) or state.shape != (d, d):
-        raise ValueError(
-            f"dimension mismatch: o_a {o_a.shape}, o_b {o_b.shape}, "
-            f"U {u_t.shape}, state {state.shape}"
-        )
-    big_a = kron(o_a, np.eye(o_b.shape[0]))
-    big_b_t = u_t.conj().T @ kron(np.eye(o_a.shape[0]), o_b) @ u_t
-    return complex(np.trace(state @ big_a.conj().T @ big_b_t.conj().T @ big_a @ big_b_t))
 
 
 def averaged_otoc(

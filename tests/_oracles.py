@@ -1,10 +1,11 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here is deliberately written from the definitions with plain
-loops and np.kron, sharing no code paths with the package internals. The one
-exception is entropy_production_rates_literal: its channels depend on the
-eigenvectors chosen inside degenerate marginal eigenspaces, so it takes the
-package's marginal eigensystems and mutual-information rate as given.
+loops and np.kron, sharing no code paths with the package internals. The
+exceptions are instantaneous_basis and entropy_production_rates_literal: the
+rate channels depend on the eigenvectors chosen inside degenerate marginal
+eigenspaces, so both take the package's marginal eigensystems as given, and
+the rate oracle also takes the package's mutual-information rate.
 """
 
 from __future__ import annotations
@@ -23,6 +24,10 @@ PAULIS = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+
+
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def kron_chain(labels: str) -> np.ndarray:
@@ -78,6 +83,23 @@ def schmidt_marginals(psi: np.ndarray, d_a: int, d_b: int) -> tuple[np.ndarray, 
 def entropy_from_probs(p: np.ndarray) -> float:
     p = p[p > 1e-300]
     return float(-(p * np.log(p)).sum())
+
+
+def otoc(o_a: np.ndarray, o_b: np.ndarray, u_t: np.ndarray, state: np.ndarray) -> complex:
+    """<O_A^dag O_B(t)^dag O_A O_B(t)> with O_B(t) = U^dag O_B U.
+
+    o_a acts on the leading tensor factor (embedded as o_a x I_B), o_b on the
+    trailing one (I_A x o_b); subsystem sizes are read off the operator dims.
+    """
+    d = o_a.shape[0] * o_b.shape[0]
+    if np.shape(u_t) != (d, d) or np.shape(state) != (d, d):
+        raise ValueError(
+            f"dimension mismatch: o_a {o_a.shape}, o_b {o_b.shape}, "
+            f"U {np.shape(u_t)}, state {np.shape(state)}"
+        )
+    big_a = kron(o_a, np.eye(o_b.shape[0]))
+    big_b_t = u_t.conj().T @ kron(np.eye(o_a.shape[0]), o_b) @ u_t
+    return complex(np.trace(state @ big_a.conj().T @ big_b_t.conj().T @ big_a @ big_b_t))
 
 
 def averaged_otoc_literal(n_a: int, n_b: int, u_t: np.ndarray, state=None) -> complex:
@@ -149,6 +171,12 @@ def two_qubit_zz_averaged_otoc(t: float) -> float:
     cos^2(2t) after the A-trace, giving (1 + cos^2(2t))/2.
     """
     return float((1.0 + np.cos(2.0 * t) ** 2) / 2.0)
+
+
+def instantaneous_basis(rho_s: np.ndarray, part) -> np.ndarray:
+    """V = V_A x V_B diagonalizing both marginals, eigenvalues descending."""
+    _, va, _, vb = _full_rank_marginals(np.asarray(rho_s, dtype=complex), part)
+    return np.kron(va, vb)
 
 
 def entropy_production_rates_literal(h: np.ndarray, rho_s: np.ndarray, part) -> dict[str, float]:

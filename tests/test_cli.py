@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from scramble import cli
+from scramble.scrambling import OtocConfig
 
 CELL = re.compile(r"^-?\d\.\d{16}e[+-]\d{2,3}$")
 
@@ -236,6 +237,18 @@ def test_circuit_config_validation_errors(tmp_path, capsys, mutate, needle):
     mutate(cfg)
     assert cli.main(["validate", write_config(tmp_path, cfg)]) == 2
     assert needle in capsys.readouterr().err
+
+
+def test_otoc_averaging_accepts_only_exact_enumeration(tmp_path):
+    # OtocConfig has no averaging field; a config file may still name its one value.
+    for block in ({"averaging": "exact_enumeration"},
+                  {"averaging": "exact_enumeration", "expectation_state": "initial_state"}):
+        cfg = cli.load_config(write_config(tmp_path, base_circuit_config(tmp_path, otoc=block)))
+        assert cfg.otoc == OtocConfig(block.get("expectation_state", "maximally_mixed"))
+    for value in ("quadrature", "monte_carlo", "Exact_Enumeration"):
+        path = write_config(tmp_path, base_circuit_config(tmp_path, otoc={"averaging": value}))
+        with pytest.raises(cli.ConfigError, match=r"^otoc\.averaging: unknown value"):
+            cli.load_config(path)
 
 
 def test_modified_otoc_needs_single_qubit_side(tmp_path, capsys):

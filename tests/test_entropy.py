@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import entropy_from_probs, schmidt_marginals
+from _oracles import entropy_from_probs, kron, schmidt_marginals
 from scramble.entropy import (
     mutual_information,
     purity,
@@ -17,7 +17,6 @@ from scramble.qdense import (
     Bipartition,
     haar_state,
     haar_unitary,
-    kron,
     random_density,
     seeded_rng,
 )

@@ -5,13 +5,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _oracles import entropy_production_rates_literal, expm_unitary, richardson_derivative
+from _oracles import (
+    entropy_production_rates_literal,
+    expm_unitary,
+    instantaneous_basis,
+    kron,
+    richardson_derivative,
+)
 from scramble.entropy import mutual_information
 from scramble.liouville import (
+    _support_block,
     bound8_report,
     build_liouvillian,
     entropy_production_rates,
-    instantaneous_basis,
     mutual_information_rate,
     regularize,
 )
@@ -19,7 +25,6 @@ from scramble.qdense import (
     Bipartition,
     evolve_unitary,
     haar_unitary,
-    kron,
     partial_trace,
     random_density,
     random_hermitian,
@@ -163,6 +168,21 @@ def test_entropy_rates_structure():
     assert rates["Idot"] == pytest.approx(mutual_information_rate(h, rho, part), abs=1e-12)
 
 
+def _assert_rates_match_oracle(h, rho, part):
+    got = entropy_production_rates(h, rho, part)
+    want = entropy_production_rates_literal(h, rho, part)
+    assert set(got) == set(want)
+    for key, ref in want.items():
+        assert abs(got[key] - ref) <= 1e-13 * max(1.0, abs(ref)), key
+
+
+def _one_hop(diagonal, hop):
+    h = np.diag(diagonal).astype(complex)
+    h[0, -1] = hop
+    h[-1, 0] = np.conj(hop)
+    return h
+
+
 @pytest.mark.parametrize("n_a,n_b", [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3)])
 def test_entropy_production_rates_matches_dense_oracle(n_a, n_b):
     part = Bipartition(n_a, n_b)
@@ -170,17 +190,40 @@ def test_entropy_production_rates_matches_dense_oracle(n_a, n_b):
     rng = seeded_rng(916, n_a, n_b)
     # Diagonal in the product basis plus one hopping term: in the product
     # start's eigenbasis most of W's support falls below the pair cutoff.
-    sparse_h = np.diag(rng.normal(size=d)).astype(complex)
-    sparse_h[0, d - 1] = 0.3 + 0.2j
-    sparse_h[d - 1, 0] = 0.3 - 0.2j
+    # With a purely imaginary hop, W/W^T = -1 on the hop's pairs there: the
+    # principal log sits on the branch cut, and |Im log| = pi either side.
+    diagonal = rng.normal(size=d)
     states = (random_density(d, rng), regularize(zero_state(n_a + n_b)))
-    for h in (random_hermitian(d, rng), sparse_h):
+    for h in (random_hermitian(d, rng), _one_hop(diagonal, 0.3 + 0.2j), _one_hop(diagonal, 0.5j)):
         for rho in states:
-            got = entropy_production_rates(h, rho, part)
-            want = entropy_production_rates_literal(h, rho, part)
-            assert set(got) == set(want)
-            for key, ref in want.items():
-                assert abs(got[key] - ref) <= 1e-13 * max(1.0, abs(ref)), key
+            _assert_rates_match_oracle(h, rho, part)
+
+
+def test_entropy_production_rates_matches_dense_oracle_at_2_3():
+    # One case at d = 32, where the oracle's d^4 sums take about 0.5 s.
+    part = Bipartition(2, 3)
+    rng = seeded_rng(916, 2, 3)
+    _assert_rates_match_oracle(random_hermitian(part.dim, rng), regularize(zero_state(5)), part)
+
+
+def test_support_block_is_the_principal_log_of_any_pair():
+    # On W, which is skew-Hermitian, Re log(W/W^T) is round-off and
+    # |arg W - arg W^T| <= pi. A generic complex block exercises both the
+    # log-magnitude difference and the wrap of the phase difference.
+    rng = seeded_rng(918)
+    block = rng.normal(size=(6, 6, 3)) + 1j * rng.normal(size=(6, 6, 3))
+    block[0, 1, 0], block[1, 0, 0] = 2j, -0.5j  # W/W^T = -4: the cut, from both sides
+    block[2, 4, 1] = 1e-13  # below the cutoff: the pair is left out both ways
+    mag, re, im = _support_block(block)
+    keep = ~np.eye(6, dtype=bool)[:, :, np.newaxis] & np.ones(3, dtype=bool)
+    keep[2, 4, 1] = keep[4, 2, 1] = False
+    ref = np.log(block / block.swapaxes(0, 1))
+    dphi = np.abs(np.angle(block) - np.angle(block.swapaxes(0, 1)))
+    assert (dphi[keep] > np.pi).any()  # pairs whose phase difference needs the wrap
+    np.testing.assert_array_equal(mag, np.where(keep, np.abs(block), 0.0))
+    np.testing.assert_allclose(re, np.where(keep, ref.real, 0.0), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(im, np.where(keep, np.abs(ref.imag), 0.0), rtol=0, atol=1e-15)
+    assert im[0, 1, 0] == im[1, 0, 0] == np.pi
 
 
 def test_entropy_production_rates_peak_memory_stays_near_w():

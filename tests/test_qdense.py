@@ -15,7 +15,6 @@ from scramble.qdense import (
     evolve_unitary,
     haar_state,
     haar_unitary,
-    kron,
     kron_all,
     partial_trace,
     random_density,
@@ -91,7 +90,7 @@ def test_partial_trace_of_product_state():
     rng = seeded_rng(3)
     rho_a = random_density(2, rng)
     rho_b = random_density(4, rng)
-    rho = kron(rho_a, rho_b)
+    rho = kron_all(rho_a, rho_b)
     np.testing.assert_allclose(partial_trace(rho, part, "A"), rho_a, atol=1e-13)
     np.testing.assert_allclose(partial_trace(rho, part, "B"), rho_b, atol=1e-13)
 
@@ -124,8 +123,8 @@ def small_complex_matrix(draw, d=2):
 @settings(max_examples=50, deadline=None)
 @given(small_complex_matrix(), small_complex_matrix(), small_complex_matrix(), small_complex_matrix())
 def test_kron_mixed_product_property(a, b, c, d):
-    left = kron(a, b) @ kron(c, d)
-    right = kron(a @ c, b @ d)
+    left = kron_all(a, b) @ kron_all(c, d)
+    right = kron_all(a @ c, b @ d)
     np.testing.assert_allclose(left, right, atol=1e-9)
 
 

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
+from _oracles import instantaneous_basis
 from scramble import qdense
 from scramble.liouville import (
     bound8_report,
     build_liouvillian,
     entropy_production_rates,
-    instantaneous_basis,
     mutual_information_rate,
     regularize,
 )
