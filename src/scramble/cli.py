@@ -248,16 +248,12 @@ def _bound8_hamiltonian(cfg: ExperimentConfig) -> np.ndarray:
     return _ising_chain(cfg.partition.n_qubits, cfg.model["j"], cfg.model["hx"])
 
 
-def _format_row(values) -> str:
-    return ",".join(f"{v:.16e}" for v in values)
-
-
 def write_csv(path: str, table: dict[str, np.ndarray]) -> None:
     """One row per time sample; the COLUMNS present in ``table``, in order."""
     header = [c for c in COLUMNS if c in table]
-    lines = [",".join(header)]
-    for i in range(len(table["t"])):
-        lines.append(_format_row(table[c][i] for c in header))
+    row = ",".join(["{:.16e}"] * len(header))
+    columns = [np.asarray(table[c]).tolist() for c in header]
+    lines = [",".join(header)] + [row.format(*values) for values in zip(*columns, strict=True)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

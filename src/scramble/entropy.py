@@ -3,12 +3,17 @@
 All values are in nats. Spectra are clamped per qdense before logs, and
 round-off negatives above ENTROPY_FLOOR are clamped to +0.0 on output.
 
-The two mutual informations also accept a pure global state as a ket: a 1-D
-array is a ket, a 2-D array a density matrix. For a pure state S_S = 0 and
-S_A = S_B (Page, PRL 71, 1291 (1993)), so I = 2 S_A and I2 = 2 S2_A. Reshape
-the ket into M (d_A x d_B); then rho_A = M M^dag and rho_B = (M^dag M)^T
-share their nonzero spectrum, and the entropies come from whichever Gram
-matrix is smaller, without ever forming the d x d state.
+The two mutual informations also accept a pure global state as a ket. For a
+pure state S_S = 0 and S_A = S_B (Page, PRL 71, 1291 (1993)), so I = 2 S_A
+and I2 = 2 S2_A. Reshape the ket into M (d_A x d_B); then rho_A = M M^dag and
+rho_B = (M^dag M)^T share their nonzero spectrum, and the entropies come from
+whichever Gram matrix is smaller, without ever forming the d x d state.
+
+A 2-D array is a density matrix. A 1-D array is one ket; a (..., d_A, d_B)
+array of at least three dimensions is a stack of kets, each given as its
+row-major coefficient matrix M, and gives an array over the leading axes.
+A 2-D ket stack is not accepted: (T, d) could not be told from a d x d
+density matrix at T = d, nor a lone (d_A, d_B) matrix from a marginal.
 """
 
 from __future__ import annotations
@@ -24,14 +29,21 @@ from .qdense import (
     as_complex_matrix,
     check_density_matrix,
     clamp_spectrum,
+    dagger,
+    float_or_array,
+    frobenius_sq,
     partial_trace,
 )
 
 
-def _clamp_entropy(value: float, name: str) -> float:
-    if value < ENTROPY_FLOOR:
-        raise ValueError(f"{name} evaluated to {value:.3e}, below round-off tolerance")
-    return value if value > 0.0 else 0.0
+def _clamp_entropy(values, name: str):
+    """Clamp entropies element by element: +0.0 for round-off negatives."""
+    values = np.asarray(values)
+    flat = values.reshape(-1)
+    bad = np.flatnonzero(flat < ENTROPY_FLOOR)
+    if bad.size:
+        raise ValueError(f"{name} evaluated to {flat[bad[0]]:.3e}, below round-off tolerance")
+    return float_or_array(np.where(values > 0.0, values, 0.0))
 
 
 def _check_state(rho: DensityMatrix, name: str) -> DensityMatrix:
@@ -39,14 +51,15 @@ def _check_state(rho: DensityMatrix, name: str) -> DensityMatrix:
     return check_density_matrix(as_complex_matrix(rho), name)
 
 
-def _von_neumann(rho: DensityMatrix) -> float:
+def _von_neumann(rho: DensityMatrix):
+    # Zero eigenvalues are replaced by 1, whose p ln p is exactly 0: no log of 0.
     evals = clamp_spectrum(np.linalg.eigvalsh(rho))
-    pos = evals[evals > 0.0]
-    return _clamp_entropy(float(-np.sum(pos * np.log(pos))), "von Neumann entropy")
+    p = np.where(evals > 0.0, evals, 1.0)
+    return _clamp_entropy(-np.sum(p * np.log(p), axis=-1), "von Neumann entropy")
 
 
-def _renyi2(rho: DensityMatrix) -> float:
-    return _clamp_entropy(float(-np.log(purity(rho))), "Renyi-2 entropy")
+def _renyi2(rho: DensityMatrix):
+    return _clamp_entropy(-np.log(frobenius_sq(rho)), "Renyi-2 entropy")
 
 
 def von_neumann(rho: DensityMatrix) -> float:
@@ -56,8 +69,7 @@ def von_neumann(rho: DensityMatrix) -> float:
 
 def purity(rho: DensityMatrix) -> float:
     """tr(rho^2), computed as the squared Frobenius norm (exactly real)."""
-    rho = np.asarray(rho, dtype=complex)
-    return float(np.vdot(rho, rho).real)
+    return float(frobenius_sq(np.asarray(rho, dtype=complex)))
 
 
 def renyi2(rho: DensityMatrix) -> float:
@@ -66,22 +78,33 @@ def renyi2(rho: DensityMatrix) -> float:
 
 
 def _ket_gram(psi: np.ndarray, part: Bipartition) -> np.ndarray:
-    """Validate a ket and return the reduced state of its smaller block."""
+    """Validate a ket or a ket stack; return the reduced states of the smaller block.
+
+    A 1-D ket is the zero-dimensional stack. An error names a stack's first
+    bad slice by its flat index over the leading axes.
+    """
     psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (part.dim,):
-        raise ValueError(f"ket length {psi.size} does not match partition dim {part.dim}")
-    if not np.isfinite(psi).all():
-        raise ValueError("ket has non-finite entries")
-    norm2 = float(np.vdot(psi, psi).real)
-    if abs(norm2 - 1.0) > TRACE_TOL:
-        raise ValueError(f"ket squared norm {norm2} differs from 1")
-    m = psi.reshape(part.dim_a, part.dim_b)
-    return m @ m.conj().T if part.dim_a <= part.dim_b else m.T @ m.conj()
+    blocks = (part.dim_a, part.dim_b)
+    if psi.ndim == 1:
+        if psi.shape != (part.dim,):
+            raise ValueError(f"ket length {psi.size} does not match partition dim {part.dim}")
+        psi = psi.reshape(blocks)
+    elif psi.shape[-2:] != blocks:
+        raise ValueError(f"ket stack shape {psi.shape} does not match partition blocks {blocks}")
+    where = "" if psi.ndim == 2 else "[{}]"
+    bad = np.flatnonzero(~np.isfinite(psi).all(axis=(-2, -1)))
+    if bad.size:
+        raise ValueError(f"ket{where.format(bad[0])} has non-finite entries")
+    norm2 = frobenius_sq(psi).reshape(-1)
+    bad = np.flatnonzero(np.abs(norm2 - 1.0) > TRACE_TOL)
+    if bad.size:
+        raise ValueError(f"ket{where.format(bad[0])} squared norm {norm2[bad[0]]} differs from 1")
+    return psi @ dagger(psi) if part.dim_a <= part.dim_b else psi.swapaxes(-1, -2) @ psi.conj()
 
 
-def mutual_information(state: np.ndarray, part: Bipartition) -> float:
-    """S_A + S_B - S_S between the two partition blocks; 2 S_A for a ket."""
-    if np.ndim(state) == 1:
+def mutual_information(state: np.ndarray, part: Bipartition):
+    """S_A + S_B - S_S between the two partition blocks; 2 S_A for each ket."""
+    if np.ndim(state) != 2:
         return 2.0 * _von_neumann(_ket_gram(state, part))
     rho_s = _check_state(state, "rho_S")
     s_a = _von_neumann(partial_trace(rho_s, part, "A"))
@@ -90,9 +113,9 @@ def mutual_information(state: np.ndarray, part: Bipartition) -> float:
     return _clamp_entropy(s_a + s_b - s_s, "mutual information")
 
 
-def renyi2_mutual_information(state: np.ndarray, part: Bipartition) -> float:
+def renyi2_mutual_information(state: np.ndarray, part: Bipartition):
     """Sum of subsystem Renyi-2 entropies; defined here only for pure states."""
-    if np.ndim(state) == 1:
+    if np.ndim(state) != 2:
         return 2.0 * _renyi2(_ket_gram(state, part))
     rho_s = _check_state(state, "rho_S")
     rho_a, rho_b = partial_trace(rho_s, part, "A"), partial_trace(rho_s, part, "B")

@@ -23,6 +23,7 @@ from .qdense import (
     as_complex_matrix,
     check_density_matrix,
     check_hermitian,
+    check_time_grid,
     dagger,
     eigh,
     float_or_array,
@@ -223,7 +224,7 @@ def bound8_report(
     """
     h = as_complex_matrix(h)
     initial = check_density_matrix(as_complex_matrix(initial), "initial")
-    times = np.asarray(times, dtype=float)
+    times = check_time_grid(times)
     _full_rank_marginals(initial, part)
     u_of_t = unitary_family(*eigh(h))
     chunks = []

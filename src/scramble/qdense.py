@@ -133,6 +133,26 @@ def float_or_array(values: np.ndarray):
     return float(values) if np.ndim(values) == 0 else values
 
 
+def frobenius_sq(m: np.ndarray) -> np.ndarray:
+    """|M|_F^2 of each matrix in a (..., n, k) stack.
+
+    One (1, nk) @ (nk, 1) product per slice: the same BLAS dot as np.vdot,
+    so the value is bitwise that of a single-matrix vdot.
+    """
+    row = m.reshape(m.shape[:-2] + (1, -1))
+    return (row.conj() @ row.swapaxes(-1, -2))[..., 0, 0].real
+
+
+def check_time_grid(times) -> np.ndarray:
+    """Coerce a time grid to a non-empty 1-D array of finite floats."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size == 0:
+        raise ValueError(f"time grid must be a non-empty 1-D array, got shape {times.shape}")
+    if not np.isfinite(times).all():
+        raise ValueError("time grid has non-finite entries")
+    return times
+
+
 def time_chunks(n: int, entries_per_sample: int) -> list[slice]:
     """Consecutive slices of range(n), each stacking at most _STACK_ENTRIES entries."""
     step = max(1, _STACK_ENTRIES // entries_per_sample)

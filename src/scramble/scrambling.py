@@ -35,9 +35,11 @@ from .qdense import (
     as_complex_matrix,
     as_complex_stack,
     check_density_matrix,
+    check_time_grid,
     dagger,
     eigh,
     float_or_array,
+    frobenius_sq,
     partial_trace,
     time_chunks,
     unitary_family,
@@ -75,7 +77,7 @@ def averaged_otoc(
         y = y.reshape(lead + (d_a * d_a, d_b * d_b))
         # |Y Y^dag|_F = |Y^dag Y|_F: form the Gram matrix on the smaller side.
         gram = y @ dagger(y) if d_a <= d_b else dagger(y) @ y
-        return float_or_array(_frobenius_sq(gram) / part.dim**2)
+        return float_or_array(frobenius_sq(gram) / part.dim**2)
     if state is None:
         raise ValueError("initial_state expectation requires a state")
     state = check_density_matrix(state)
@@ -89,16 +91,6 @@ def _unitary_stack(part: Bipartition, u_t) -> ComplexMatrix:
     if u_t.ndim > 3 or u_t.shape[-2:] != (part.dim, part.dim):
         raise ValueError(f"unitary shape {u_t.shape} does not match partition dim {part.dim}")
     return u_t
-
-
-def _frobenius_sq(m: np.ndarray) -> np.ndarray:
-    """|M|_F^2 of each matrix in a (..., n, n) stack.
-
-    One (1, n^2) @ (n^2, 1) product per slice: the same BLAS dot as np.vdot,
-    so the value is bitwise that of a single-matrix vdot.
-    """
-    row = m.reshape(m.shape[:-2] + (1, -1))
-    return (row.conj() @ row.swapaxes(-1, -2))[..., 0, 0].real
 
 
 def _initial_state_otoc(part: Bipartition, u_t: ComplexMatrix, state: DensityMatrix):
@@ -194,8 +186,8 @@ def bound_report(
     deltaO, slack9 = I - deltaO, and deltaMO when ``include_modified`` is set.
     """
     cfg = cfg or OtocConfig()
-    times = np.asarray(times, dtype=float)
-    if times.size < 1 or times[0] != 0.0:
+    times = check_time_grid(times)
+    if times[0] != 0.0:
         raise ValueError("time grid must start at t = 0")
     initial = check_density_matrix(as_complex_matrix(initial), "initial")
     rho_a = partial_trace(initial, part, "A")
@@ -219,9 +211,9 @@ def bound_report(
         want = (chunk.stop - chunk.start, d, d)
         if np.shape(u) != want:
             raise ValueError(f"U(t) of {want[0]} times has shape {np.shape(u)}, expected {want}")
-        for i, psi_t in enumerate(u @ psi_0, start=chunk.start):
-            mi[i] = mutual_information(psi_t, part)
-            mi2[i] = renyi2_mutual_information(psi_t, part)
+        kets = (u @ psi_0).reshape(-1, part.dim_a, part.dim_b)
+        mi[chunk] = mutual_information(kets, part)
+        mi2[chunk] = renyi2_mutual_information(kets, part)
         if cfg.expectation_state == "initial_state":
             obar[chunk] = _initial_state_otoc(part, u, initial)
         else:

@@ -39,6 +39,20 @@ def base_syk_config(tmp_path, **overrides):
     return cfg
 
 
+def test_write_csv_cells_are_exact(tmp_path):
+    path = tmp_path / "table.csv"
+    cli.write_csv(str(path), {
+        "I": np.array([1.0, -1.0 / 3.0]),
+        "t": np.array([-0.0, 5e-324]),
+        "Obar": np.array([1e308, 1.0]),
+    })
+    assert path.read_text(encoding="utf-8") == (
+        "t,I,Obar\n"
+        "-0.0000000000000000e+00,1.0000000000000000e+00,1.0000000000000000e+308\n"
+        "4.9406564584124654e-324,-3.3333333333333331e-01,1.0000000000000000e+00\n"
+    )
+
+
 def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from _oracles import entropy_from_probs, kron, schmidt_marginals
+from scramble import entropy, scrambling
 from scramble.entropy import (
     mutual_information,
     purity,
@@ -18,8 +19,11 @@ from scramble.qdense import (
     haar_state,
     haar_unitary,
     random_density,
+    random_hermitian,
     seeded_rng,
+    time_chunks,
 )
+from scramble.scrambling import bound_report
 
 
 def bell_density() -> np.ndarray:
@@ -118,6 +122,80 @@ def test_ket_entropies_match_density_matrix(n_a, n_b):
     for fn in (mutual_information, renyi2_mutual_information):
         value = fn(product, part)
         assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
+def _ket_stack(part, lead, seed):
+    """Haar kets as a (*lead, d_A, d_B) stack of row-major coefficient matrices."""
+    rng = seeded_rng(14, seed, part.n_a, part.n_b)
+    kets = [haar_state(part.dim, rng) for _ in range(int(np.prod(lead)))]
+    return np.reshape(kets, lead + (part.dim_a, part.dim_b))
+
+
+@pytest.mark.parametrize("n_a,n_b", [(1, 1), (1, 4), (2, 2), (2, 3), (3, 1)])
+@pytest.mark.parametrize("fn", [mutual_information, renyi2_mutual_information])
+def test_ket_stack_matches_per_ket_values(fn, n_a, n_b):
+    # 3|1 has d_A > d_B, so the stack takes the B-side Gram matrices there.
+    part = Bipartition(n_a, n_b)
+    stack = _ket_stack(part, (2, 3), seed=0)
+    values = fn(stack, part)
+    assert values.shape == (2, 3)
+    for idx in np.ndindex(2, 3):
+        single = fn(stack[idx].reshape(-1), part)
+        assert isinstance(single, float)
+        assert abs(values[idx] - single) < 1e-14
+
+
+@pytest.mark.parametrize("fn", [mutual_information, renyi2_mutual_information])
+def test_ket_stack_names_its_first_bad_slice(fn):
+    part = Bipartition(1, 2)
+    stack = _ket_stack(part, (4,), seed=1)
+    stack[2] *= 2.0
+    with pytest.raises(ValueError, match=r"ket\[2\] squared norm 4\.\d+ differs from 1"):
+        fn(stack, part)
+    stack = _ket_stack(part, (4,), seed=1)
+    stack[3, 1, 0] = np.inf
+    with pytest.raises(ValueError, match=r"ket\[3\] has non-finite entries"):
+        fn(stack, part)
+    with pytest.raises(ValueError, match="does not match partition blocks"):
+        fn(stack.swapaxes(-1, -2), part)
+
+
+@pytest.mark.parametrize("fn", [mutual_information, renyi2_mutual_information])
+def test_two_dimensional_input_is_never_a_ket(fn):
+    # A pure product's coefficient matrix at 1|1 is also a valid 2x2 density
+    # matrix: it is read as one, and its dimension does not fit the partition.
+    coeffs = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+    with pytest.raises(ValueError, match="does not match partition"):
+        fn(coeffs, Bipartition(1, 1))
+
+
+@pytest.mark.parametrize("fn", [mutual_information, renyi2_mutual_information])
+def test_product_ket_stack_is_positive_zero(fn):
+    part = Bipartition(2, 1)
+    stack = np.zeros((3, part.dim_a, part.dim_b), dtype=complex)
+    stack[0, 0, 0] = stack[1, 3, 1] = 1.0
+    stack[2] = np.outer([0.5, 0.5j, -0.5, 0.5], [0.6, 0.8])
+    values = fn(stack, part)
+    assert np.all(values == 0.0) and np.all(np.copysign(1.0, values) == 1.0)
+
+
+def test_bound_report_calls_each_entropy_once_per_chunk(monkeypatch):
+    part = Bipartition(1, 3)
+    times = np.linspace(0.0, 2.0, 600)
+    n_chunks = len(time_chunks(times.size, part.dim**2))
+    assert n_chunks > 1
+    calls = []
+    for name in ("mutual_information", "renyi2_mutual_information"):
+        def counted(state, p, fn=getattr(entropy, name), name=name):
+            calls.append((name, np.shape(state)[0]))
+            return fn(state, p)
+        monkeypatch.setattr(scrambling, name, counted)
+    initial = np.zeros((part.dim, part.dim), dtype=complex)
+    initial[0, 0] = 1.0
+    bound_report(random_hermitian(part.dim, seeded_rng(15)), part, initial, times)
+    for name in ("mutual_information", "renyi2_mutual_information"):
+        sizes = [size for fn, size in calls if fn == name]
+        assert len(sizes) == n_chunks and sum(sizes) == times.size
 
 
 @pytest.mark.parametrize("n_a,n_b", [(1, 1), (1, 2), (2, 2), (2, 3)])

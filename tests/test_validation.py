@@ -90,6 +90,21 @@ def test_ket_entry_points_reject_bad_input(entry, bad):
         ENTRY_POINTS[entry](psi)
 
 
+PURE_START = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+REPORTS = {
+    "bound_report": lambda times: bound_report(H, PART, PURE_START, times),
+    "bound8_report": lambda times: bound8_report(H, regularize(PURE_START), PART, times),
+}
+
+
+@pytest.mark.parametrize("times", [[], [[0.0, 1.0]], [0.0, np.nan], [0.0, np.inf]],
+                         ids=["empty", "two_dimensional", "nan", "inf"])
+@pytest.mark.parametrize("report", REPORTS)
+def test_reports_reject_bad_time_grids(report, times):
+    with pytest.raises(ValueError, match="time grid"):
+        REPORTS[report](times)
+
+
 @pytest.mark.parametrize("check", [check_density_matrix, eigh, build_liouvillian])
 def test_hermiticity_is_checked_by_one_helper(check):
     with pytest.raises(ValueError, match="not Hermitian: max deviation 1.000e-01"):
