@@ -168,6 +168,7 @@ def load_config(path: str) -> ExperimentConfig:
     otoc = _parse_otoc(data)
     output = _field(data, "output", str)
     seed = _field(data, "seed", int)
+    _expect(seed >= 0, "seed: must be a non-negative integer")
     workers = _field(data, "workers", int, required=False, default=1)
     _expect(workers >= 1, "workers: must be at least 1")
 

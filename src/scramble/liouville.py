@@ -117,41 +117,35 @@ def mutual_information_rate(h: ComplexMatrix, rho_s: DensityMatrix, part: Bipart
     return float_or_array(val.real)
 
 
-def _swap_difference(a: np.ndarray) -> np.ndarray:
-    """a[..., m, m', k] - a[..., m', m, k]."""
-    return a - a.swapaxes(-3, -2)
+def _pair_phases(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|W| and |log(W/W^T)| on a (..., d, d, d) support block of W.
 
-
-def _support_block(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """|W|, Re log(W/W^T) and |Im log(W/W^T)| on a (..., d, d, d) support block.
-
-    ``block[..., m, m', k]`` pairs with ``block[..., m', m, k]`` in W^T. Every
-    channel uses only |log(W/W^T) + real shift|, so the log is taken in real
-    arithmetic: Re = ln|W| - ln|W^T|, and the principal branch enters through
-    |Im| = min(|dphi|, 2 pi - |dphi|) with dphi = arg W - arg W^T, which gives
-    pi from either side of the cut at W/W^T = -1. All three arrays are zero
-    where either |W| entry is below the cutoff, and on the m = m' diagonal,
-    where the ratio is exactly 1.
+    ``block[..., m, m', k]`` pairs with ``block[..., m', m, k]`` in W^T. W is
+    skew-Hermitian, so W^T = -conj(W) entrywise and W/W^T = -W^2/|W|^2 is a
+    pure phase: log(W/W^T) = i arg(-W^2) on the principal branch. As
+    arg(-W^2) = 2 arg W + pi (mod 2 pi), |arg(-W^2)| = |2 |arg W| - pi|, one
+    angle per entry and exactly pi at the cut W/W^T = -1 (W real). Both
+    arrays are zero where either |W| entry is at or below the cutoff, and on
+    the m = m' diagonal, where the ratio is exactly 1.
     """
     mag = np.abs(block)
-    off_diagonal = ~np.eye(block.shape[-2], dtype=bool)[:, :, np.newaxis]
-    mask = (mag > PAIR_CUTOFF) & (mag.swapaxes(-3, -2) > PAIR_CUTOFF) & off_diagonal
-    re = _swap_difference(np.log(np.where(mask, mag, 1.0)))
-    dphi = np.abs(_swap_difference(np.angle(block)))
-    skipped = ~mask
+    skipped = np.minimum(mag, mag.swapaxes(-3, -2)) <= PAIR_CUTOFF
+    skipped |= np.eye(block.shape[-2], dtype=bool)[:, :, np.newaxis]
+    phase = np.abs(2.0 * np.abs(np.angle(block)) - np.pi)
     mag[skipped] = 0.0
-    dphi[skipped] = 0.0
-    return mag, re, np.minimum(dphi, 2.0 * np.pi - dphi, out=dphi)
+    phase[skipped] = 0.0
+    return mag, phase
 
 
 def entropy_production_rates(h: ComplexMatrix, rho_s: DensityMatrix, part: Bipartition):
     """Local entropy-production sums, exchange term, and geometry coefficients.
 
     All sums run over ordered Liouville index pairs (m, m'), skipping pairs
-    where either |W| entry is below the cutoff and the pairs m = m', whose
-    log(W/W^T) is exactly 0. Each term is |W| |log(W/W^T) + s| with a real
-    shift s (0 for the exchange sums), evaluated as |W| hypot(Re + s, |Im|)
-    from _support_block's real parts; logs are principal-branch.
+    where either |W| entry is at or below the cutoff and the pairs m = m',
+    whose log(W/W^T) is exactly 0. Each term is |W| |log(W/W^T) + s| with a
+    real shift s (0 for the exchange sums). W is skew-Hermitian, so
+    log(W/W^T) is the pure phase i arg(-W^2) on the principal branch
+    (_pair_phases) and a term is |W| hypot(s, |arg(-W^2)|).
     W is nonzero only where m = (r, c) and m' = (r', c') share c or share r,
     so the sums run over those two d^3 blocks: every other pair has W = 0.
     The exchange channel is reported as SdotE = S_E^A + S_E^B with coeffC
@@ -172,17 +166,17 @@ def entropy_production_rates(h: ComplexMatrix, rho_s: DensityMatrix, part: Bipar
 
     # Same column, [r, r', c]: the weights w(r') enter as the prefactor and as
     # the real shift log(w(r')/w(r)), which keeps the principal branch.
-    mag_c, re_c, im_c = _support_block(w.diagonal(axis1=-3, axis2=-1))
+    mag_c, phase_c = _pair_phases(w.diagonal(axis1=-3, axis2=-1))
     # Same row, [c, c', r]: the weight ratio is 1. Pairs with r = r' and c = c'
     # lie in both blocks; log 1 = 0, so both leave them out.
-    mag_r, re_r, im_r = _support_block(w.diagonal(axis1=-4, axis2=-2))
-    exchange_c = (mag_c * np.hypot(re_c, im_c)).sum(axis=(-3, -1))
-    exchange_r = (mag_r * np.hypot(re_r, im_r)).sum(axis=(-3, -2))
+    mag_r, phase_r = _pair_phases(w.diagonal(axis1=-4, axis2=-2))
+    exchange_c = (mag_c * phase_c).sum(axis=(-3, -1))
+    exchange_r = (mag_r * phase_r).sum(axis=(-3, -2))
 
     def local_sums(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(S_dot, S_E) for the marginal weight of each row index r."""
         shift = np.log(weights[..., np.newaxis, :] / weights[..., :, np.newaxis])
-        s_dot_c = (mag_c * np.hypot(re_c + shift[..., np.newaxis], im_c)).sum(axis=(-3, -1))
+        s_dot_c = (mag_c * np.hypot(shift[..., np.newaxis], phase_c)).sum(axis=(-3, -1))
         same_r = (weights * exchange_r).sum(axis=-1)
         return ((weights * s_dot_c).sum(axis=-1) + same_r,
                 (weights * exchange_c).sum(axis=-1) + same_r)

@@ -29,6 +29,7 @@ from .entropy import mutual_information, purity, renyi2_mutual_information
 from .qdense import (
     IMAG_TOL,
     PURITY_TOL,
+    TRACE_TOL,
     Bipartition,
     ComplexMatrix,
     DensityMatrix,
@@ -139,21 +140,29 @@ def modified_otoc(
     M = sum_phi phi phi^dag, so two partial traces serve every phi.
 
     ``u_t`` is one (d, d) unitary, giving a float, or a (T, d, d) stack,
-    giving a (T,) array.
+    giving a (T,) array. ``psi`` and every ``phi_set`` state must be finite
+    single-qubit kets of unit norm (within TRACE_TOL).
     """
     if part.n_a != 1:
         raise ValueError("the state-transfer OTOC requires a single-qubit A subsystem")
     u_t = _unitary_stack(part, u_t)
     if phi_set is None:
         phi_set = stabilizer_states()
-    if psi is None:
-        psi = np.array([1.0, 0.0], dtype=complex)
+    psi = np.asarray([1.0, 0.0] if psi is None else psi, dtype=complex)
+    if psi.shape != (2,):
+        raise ValueError(f"psi must be a single-qubit state, got shape {psi.shape}")
     phis = np.asarray(phi_set, dtype=complex)
     if phis.ndim != 2 or phis.shape[1] != 2:
         raise ValueError(f"phi_set must hold single-qubit states, got shape {phis.shape}")
+    norm2 = np.sum(np.abs(np.vstack([psi, phis])) ** 2, axis=-1)
+    bad = np.flatnonzero(~(np.abs(norm2 - 1.0) <= TRACE_TOL))  # NaN and inf fail too
+    if bad.size:
+        label = "psi" if bad[0] == 0 else f"phi_set[{bad[0] - 1}]"
+        raise ValueError(f"{label} must be a finite state of unit norm, "
+                         f"got squared norm {norm2[bad[0]]}")
     moment = phis.T @ phis.conj()
     v = u_t.reshape(u_t.shape[:-2] + (2, part.dim_b, 2, part.dim_b))
-    u_psi = np.einsum("...xyab,a->...xyb", v, np.asarray(psi, dtype=complex))
+    u_psi = np.einsum("...xyab,a->...xyb", v, psi)
     k = np.einsum("...xyb,...zyjb->...jxz", u_psi, v.conj())
     gram = np.einsum("...jxz,...kxz->...jk", k.conj(), k)
     total = np.einsum("jk,...jk->...", moment, gram).real

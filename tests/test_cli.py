@@ -234,6 +234,7 @@ def test_validate_reports_json_syntax_position(tmp_path, capsys):
         (lambda c: c["time_grid"].update(stop=0.0), "time_grid.stop"),
         (lambda c: c.pop("seed"), "seed"),
         (lambda c: c.update(seed=1.5), "seed"),
+        (lambda c: c.update(seed=-1), "seed: must be a non-negative integer"),
         (lambda c: c.pop("output"), "output"),
         (lambda c: c.update(workers=0), "workers"),
         (lambda c: c.update(otoc={"averaging": "quadrature"}), "otoc"),
@@ -337,6 +338,10 @@ def test_bound8_config_validation_errors(tmp_path, capsys):
     cfg["delta"] = 2.0
     assert cli.main(["validate", write_config(tmp_path, cfg, "c4.json")]) == 2
     assert "delta" in capsys.readouterr().err
+    # The random model and SYK draw from the seed; numpy refuses a negative one.
+    cfg["delta"], cfg["seed"] = 1e-6, -3
+    assert cli.main(["validate", write_config(tmp_path, cfg, "c5.json")]) == 2
+    assert "seed: must be a non-negative integer" in capsys.readouterr().err
 
 
 def test_missing_config_file(capsys):

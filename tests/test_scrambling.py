@@ -190,6 +190,29 @@ def test_modified_otoc_needs_single_qubit_a():
         modified_otoc(Bipartition(2, 1), np.eye(8))
 
 
+@pytest.mark.parametrize(
+    "kwargs,needle",
+    [
+        # Unnormalized, psi = [2, 0] gave 2.0 at U = I instead of 1/2.
+        ({"psi": [2.0, 0.0]}, r"psi must be a finite state of unit norm"),
+        ({"psi": [1.0, np.nan]}, r"psi must be a finite state"),
+        ({"psi": [np.inf, 0.0]}, r"psi must be a finite state"),
+        ({"psi": [1.0, 0.0, 0.0]}, r"psi must be a single-qubit state"),
+        ({"phi_set": [[1.0, 0.0], [1.0, 1.0]]}, r"phi_set\[1\] must be a finite state"),
+        ({"phi_set": [[0.0, 0.5]]}, r"phi_set\[0\] must be a finite state"),
+        ({"phi_set": [[np.nan, 1.0]]}, r"phi_set\[0\] must be a finite state"),
+    ],
+)
+def test_modified_otoc_rejects_bad_source_and_targets(kwargs, needle):
+    with pytest.raises(ValueError, match=needle):
+        modified_otoc(Bipartition(1, 1), np.eye(4), **kwargs)
+
+
+def test_modified_otoc_accepts_states_normalized_within_tolerance():
+    psi = np.array([1.0 + 1e-12, 0.0])
+    assert modified_otoc(Bipartition(1, 1), np.eye(4), psi=psi) == pytest.approx(0.5, abs=1e-11)
+
+
 def zero_state(n: int) -> np.ndarray:
     rho = np.zeros((2**n, 2**n), dtype=complex)
     rho[0, 0] = 1.0
