@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import re
 
 import numpy as np
@@ -51,6 +52,39 @@ def test_write_csv_cells_are_exact(tmp_path):
         "-0.0000000000000000e+00,1.0000000000000000e+00,1.0000000000000000e+308\n"
         "4.9406564584124654e-324,-3.3333333333333331e-01,1.0000000000000000e+00\n"
     )
+
+
+TABLE = {"t": np.array([0.0, 0.5]), "I": np.array([0.0, 0.25])}
+TABLE_CSV = ("t,I\n0.0000000000000000e+00,0.0000000000000000e+00\n"
+             "5.0000000000000000e-01,2.5000000000000000e-01\n")
+
+
+def test_write_csv_over_longer_file_leaves_exactly_new_bytes(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("stale row\n" * 100)
+    inode = path.stat().st_ino
+    cli.write_csv(str(path), TABLE)
+    assert path.read_bytes() == TABLE_CSV.encode()
+    assert path.stat().st_ino == inode  # rewritten in place, not replaced
+
+
+def test_write_csv_new_file_mode_follows_umask(tmp_path):
+    old = os.umask(0o027)
+    try:
+        cli.write_csv(str(tmp_path / "new.csv"), TABLE)
+    finally:
+        os.umask(old)
+    assert (tmp_path / "new.csv").stat().st_mode & 0o777 == 0o640
+
+
+def test_write_csv_through_symlink_updates_target(tmp_path):
+    target = tmp_path / "target.csv"
+    target.write_text("stale row\n" * 100)
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    cli.write_csv(str(link), TABLE)
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == TABLE_CSV.encode()
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -196,6 +230,18 @@ def test_csv_bitwise_determinism_across_runs_and_workers(tmp_path, monkeypatch):
     assert summary["workers"] == 2
 
 
+def test_rerun_rewrites_summary_in_place(tmp_path):
+    cfg = base_circuit_config(tmp_path)
+    summary = tmp_path / "out" / "run.json"
+    summary.parent.mkdir()
+    summary.write_text("stale line\n" * 1000)  # longer than any summary
+    inode = summary.stat().st_ino
+    assert cli.main(["run", write_config(tmp_path, cfg)]) == 0
+    text = summary.read_text()
+    assert json.loads(text)["kind"] == "circuit" and text.endswith("}\n")
+    assert summary.stat().st_ino == inode
+
+
 def test_scramble_workers_env_must_be_integer(tmp_path, monkeypatch, capsys):
     cfg = base_syk_config(tmp_path)
     monkeypatch.setenv("SCRAMBLE_WORKERS", "many")
@@ -207,7 +253,7 @@ def test_scramble_workers_env_must_be_integer(tmp_path, monkeypatch, capsys):
 
 
 def test_validate_ok(tmp_path, capsys):
-    cfg = base_circuit_config(tmp_path)
+    cfg = base_circuit_config(tmp_path, workers=2)  # workers is a field of every kind
     assert cli.main(["validate", write_config(tmp_path, cfg)]) == 0
     assert "ok" in capsys.readouterr().out
 
@@ -245,6 +291,11 @@ def test_validate_reports_json_syntax_position(tmp_path, capsys):
         (lambda c: c.pop("circuit"), "circuit"),
         (lambda c: c.update(circuit="builtin:teleporter"), "builtin"),
         (lambda c: c.update(circuit="missing.json"), "not found"),
+        (lambda c: c.update(delat=0.5), "delat: unknown field"),
+        (lambda c: c.update(delta=0.5), "delta: unknown field"),
+        (lambda c: c.update(syk={}), "syk: unknown field"),
+        (lambda c: c["partition"].update(n_c=1), "partition.n_c: unknown field"),
+        (lambda c: c["time_grid"].update(step=0.1), "time_grid.step: unknown field"),
     ],
 )
 def test_circuit_config_validation_errors(tmp_path, capsys, mutate, needle):
@@ -303,6 +354,9 @@ def test_huge_integer_gate_angle_is_a_field_error(tmp_path, capsys):
         (lambda c: c["partition"].update(n_b=4), "partition"),
         (lambda c: c["syk"].update(j_squared=float("nan")), "syk.j_squared: expected a finite"),
         (lambda c: c["syk"].update(j_squared=10**400), "syk.j_squared: expected a finite number"),
+        (lambda c: c["syk"].update(realisations=3), "syk.realisations: unknown field"),
+        (lambda c: c.update(modified_otoc=True), "modified_otoc: unknown field"),
+        (lambda c: c.update(model={"type": "random"}), "model: unknown field"),
     ],
 )
 def test_syk_config_validation_errors(tmp_path, capsys, mutate, needle):
@@ -342,6 +396,9 @@ def test_bound8_config_validation_errors(tmp_path, capsys):
     cfg["delta"], cfg["seed"] = 1e-6, -3
     assert cli.main(["validate", write_config(tmp_path, cfg, "c5.json")]) == 2
     assert "seed: must be a non-negative integer" in capsys.readouterr().err
+    cfg["seed"], cfg["modified_otoc"] = 1, False
+    assert cli.main(["validate", write_config(tmp_path, cfg, "c6.json")]) == 2
+    assert "modified_otoc: unknown field" in capsys.readouterr().err
 
 
 def test_missing_config_file(capsys):
@@ -369,6 +426,9 @@ def test_validate_accepts_preset_names():
 
 
 def test_obar_origin_violation_exits_3(tmp_path, capsys):
+    # A good run first leaves a summary at the same output.
+    assert cli.main(["run", write_config(tmp_path, base_circuit_config(tmp_path))]) == 0
+    assert (tmp_path / "out").joinpath("run.json").exists()
     # A fixed SWAP is not removed at t = 0, so the averaged OTOC baseline
     # sits at its scrambled floor instead of 1.
     swap = [[[1.0, 0.0] if i == j else [0.0, 0.0] for j in range(4)] for i in [0, 2, 1, 3]]
@@ -378,8 +438,10 @@ def test_obar_origin_violation_exits_3(tmp_path, capsys):
     assert cli.main(["run", write_config(tmp_path, cfg)]) == 3
     err = capsys.readouterr().err
     assert "assertion violation" in err and "Obar(0)" in err
-    # The CSV is still written for inspection; the summary is not.
-    assert (tmp_path / "out").joinpath("run.csv").exists()
+    # The CSV is still written for inspection; no summary, not even the
+    # earlier run's, sits beside it.
+    _, data = read_csv(tmp_path / "out" / "run.csv")
+    assert abs(data["Obar"][0] - 1.0) > 1e-3
     assert not (tmp_path / "out").joinpath("run.json").exists()
 
 
