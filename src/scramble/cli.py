@@ -1,4 +1,4 @@
-"""Experiment runner: validates JSON configs, dispatches runs, writes CSV+JSON.
+"""Experiment runner: reads JSON configs and gate-list files, runs, writes CSV+JSON.
 
 Exit codes: 0 success, 2 config error, 3 numerical assertion violation.
 CSV output is bitwise deterministic for a given config (including across
@@ -23,10 +23,10 @@ from . import __version__
 from .liouville import DEFAULT_DELTA, bound8_report, regularize
 from .models import (
     CircuitSpec,
+    Gate,
     SykConfig,
     circuit_unitary_family,
     entangler2_preset,
-    parse_circuit_json,
     scrambler_preset,
     syk_trajectory,
 )
@@ -78,17 +78,79 @@ def _known_fields(block: dict, allowed, where: str = "") -> None:
         _expect(key in allowed, f"{path}: unknown field")
 
 
+def _block(value, path: str, allowed=None) -> dict:
+    """``value`` as a JSON object with no field outside ``allowed`` (None: unchecked)."""
+    _expect(isinstance(value, dict), f"{path}: missing or not an object")
+    if allowed is not None:
+        _known_fields(value, allowed, path)
+    return value
+
+
+def _real(value):
+    """A JSON integer as a float, infinite past the float range; others unchanged."""
+    if type(value) is int:
+        return float(value) if abs(value) <= sys.float_info.max else math.inf
+    return value
+
+
 def _field(data: dict, name: str, kind: type, where: str = "", required: bool = True, default=None):
     path = f"{where}.{name}" if where else name
     if name not in data:
         _expect(not required, f"{path}: missing required field")
         return default
-    value = data[name]
-    if kind is float and type(value) is int:  # an integer past the float range counts as infinite
-        value = float(value) if abs(value) <= sys.float_info.max else math.inf
+    value = _real(data[name]) if kind is float else data[name]
     _expect(type(value) is kind, f"{path}: expected {kind.__name__}")
     _expect(kind is not float or math.isfinite(value), f"{path}: expected a finite number")
     return value
+
+
+def _json_object(text: str) -> dict:
+    """Decode a JSON document whose top level must be an object."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    _expect(isinstance(data, dict), "top level: expected an object")
+    return data
+
+
+def _read_text(path: str, missing: str) -> str:
+    _expect(os.path.isfile(path), missing)
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _matrix(rows, path: str) -> np.ndarray:
+    """A 4x4 complex matrix from nested [re, im] pairs of numbers read as by _field."""
+    # A malformed row or cell is dropped here, so the count of parts falls short.
+    rows = rows if type(rows) is list and len(rows) == 4 else []
+    cells = [c for row in rows if type(row) is list and len(row) == 4 for c in row]
+    parts = [_real(x) for c in cells if type(c) is list and len(c) == 2 for x in c]
+    _expect(len(parts) == 32 and all(type(x) is float for x in parts),
+            f"{path}: expected 4x4 nested [re, im] pairs")
+    return np.array(parts).view(complex).reshape(4, 4)
+
+
+def _gate_from_json(obj, where: str) -> Gate:
+    _block(obj, where, ("name", "targets", "angle", "matrix"))
+    name = _field(obj, "name", str, where)
+    targets = _field(obj, "targets", list, where)
+    _expect(all(type(t) is int for t in targets), f"{where}.targets: expected a list of qubit indices")
+    angle = _field(obj, "angle", float, where, required=False)
+    matrix = _matrix(obj["matrix"], f"{where}.matrix") if "matrix" in obj else None
+    return Gate(name.upper(), tuple(targets), angle, matrix)
+
+
+def parse_circuit_json(text: str) -> CircuitSpec:
+    """Parse {n_qubits, gates:[{name, targets, angle?, matrix?}]} and validate.
+
+    Errors are ValueErrors that start with the offending field's path.
+    """
+    data = _json_object(text)
+    _known_fields(data, ("n_qubits", "gates"))
+    n_qubits = _field(data, "n_qubits", int)
+    gates = _field(data, "gates", list)
+    return CircuitSpec(n_qubits, [_gate_from_json(g, f"gates[{i}]") for i, g in enumerate(gates)])
 
 
 @dataclass
@@ -110,9 +172,7 @@ class ExperimentConfig:
 
 
 def _parse_time_grid(data: dict) -> np.ndarray:
-    grid = data.get("time_grid")
-    _expect(isinstance(grid, dict), "time_grid: missing or not an object")
-    _known_fields(grid, ("start", "stop", "samples"), "time_grid")
+    grid = _block(data.get("time_grid"), "time_grid", ("start", "stop", "samples"))
     start = _field(grid, "start", float, "time_grid")
     stop = _field(grid, "stop", float, "time_grid")
     samples = _field(grid, "samples", int, "time_grid")
@@ -123,9 +183,7 @@ def _parse_time_grid(data: dict) -> np.ndarray:
 
 
 def _parse_otoc(data: dict) -> OtocConfig:
-    block = data.get("otoc", {})
-    _expect(isinstance(block, dict), "otoc: expected an object")
-    _known_fields(block, ("expectation_state", "averaging"), "otoc")
+    block = _block(data.get("otoc", {}), "otoc", ("expectation_state", "averaging"))
     kwargs = {key: _field(block, key, str, "otoc") for key in block}
     # The Pauli-group average is exact; configs may still name its one value.
     averaging = kwargs.pop("averaging", "exact_enumeration")
@@ -138,16 +196,13 @@ def _parse_otoc(data: dict) -> OtocConfig:
         raise ConfigError(f"otoc.{exc}") from None
 
 
-def _resolve_circuit(ref, base_dir: str) -> tuple[CircuitSpec, str]:
-    _expect(isinstance(ref, str), "circuit: expected a string reference")
+def _resolve_circuit(ref: str, base_dir: str) -> tuple[CircuitSpec, str]:
     if ref.startswith("builtin:"):
         name = ref.split(":", 1)[1]
         _expect(name in BUILTIN_CIRCUITS, f"circuit: unknown builtin {name!r}")
         return BUILTIN_CIRCUITS[name](), ref
     path = ref if os.path.isabs(ref) else os.path.join(base_dir, ref)
-    _expect(os.path.isfile(path), f"circuit: file not found: {ref}")
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(path, f"circuit: file not found: {ref}")
     try:
         return parse_circuit_json(text), ref
     except ValueError as exc:
@@ -155,21 +210,11 @@ def _resolve_circuit(ref, base_dir: str) -> tuple[CircuitSpec, str]:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    _expect(os.path.isfile(path), f"config file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from None
-    _expect(isinstance(data, dict), "top level: expected an object")
-
+    data = _json_object(_read_text(path, f"config file not found: {path}"))
     kind = _field(data, "kind", str)
     _expect(kind in KINDS, f"kind: must be one of {list(KINDS)}")
     _known_fields(data, COMMON_FIELDS + KIND_FIELDS[kind])
-    part_block = data.get("partition")
-    _expect(isinstance(part_block, dict), "partition: missing or not an object")
-    _known_fields(part_block, ("n_a", "n_b"), "partition")
+    part_block = _block(data.get("partition"), "partition", ("n_a", "n_b"))
     n_a = _field(part_block, "n_a", int, "partition")
     n_b = _field(part_block, "n_b", int, "partition")
     try:
@@ -192,9 +237,7 @@ def load_config(path: str) -> ExperimentConfig:
     base_dir = os.path.dirname(os.path.abspath(path))
 
     if kind == "syk":
-        block = data.get("syk")
-        _expect(isinstance(block, dict), "syk: missing or not an object")
-        _known_fields(block, ("n_majorana", "q", "j_squared", "realizations"), "syk")
+        block = _block(data.get("syk"), "syk", ("n_majorana", "q", "j_squared", "realizations"))
         n_majorana = _field(block, "n_majorana", int, "syk")
         q = _field(block, "q", int, "syk")
         j_squared = _field(block, "j_squared", float, "syk")
@@ -208,21 +251,16 @@ def load_config(path: str) -> ExperimentConfig:
                 f"partition: n_a + n_b = {partition.n_qubits} does not match "
                 f"the {cfg.syk.n_qubits}-qubit SYK register")
     elif kind in ("circuit", "otoc-sweep"):
-        _expect("circuit" in data, "circuit: missing required field")
-        cfg.circuit, cfg.circuit_ref = _resolve_circuit(data["circuit"], base_dir)
+        cfg.circuit, cfg.circuit_ref = _resolve_circuit(_field(data, "circuit", str), base_dir)
         _expect(partition.n_qubits == cfg.circuit.n_qubits,
                 f"partition: n_a + n_b = {partition.n_qubits} does not match "
                 f"the {cfg.circuit.n_qubits}-qubit circuit")
-        if "modified_otoc" in data:
-            _expect(isinstance(data["modified_otoc"], bool), "modified_otoc: expected a boolean")
-            cfg.modified = data["modified_otoc"]
-        else:
-            cfg.modified = kind == "circuit" and partition.n_a == 1
+        cfg.modified = _field(data, "modified_otoc", bool, required=False,
+                              default=kind == "circuit" and partition.n_a == 1)
         _expect(not (cfg.modified and partition.n_a != 1),
                 "modified_otoc: requires a single-qubit A subsystem")
     elif kind == "bound8":
-        block = data.get("model")
-        _expect(isinstance(block, dict), "model: missing or not an object")
+        block = _block(data.get("model"), "model")  # its fields depend on its type
         mtype = _field(block, "type", str, "model")
         _expect(mtype in MODEL_FIELDS, "model.type: must be 'random' or 'ising_chain'")
         _known_fields(block, ("type", *MODEL_FIELDS[mtype]), "model")
@@ -404,8 +442,7 @@ def cmd_validate(ref: str) -> int:
 def cmd_presets_list() -> int:
     for name in preset_names():
         path = preset_dir() / f"{name}.json"
-        with path.open(encoding="utf-8") as fh:
-            kind = json.load(fh).get("kind", "?")
+        kind = _json_object(path.read_text(encoding="utf-8")).get("kind", "?")
         print(f"{name:18s} {kind:10s} {path}")
     return 0
 

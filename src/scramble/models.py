@@ -10,9 +10,7 @@ and mutually independent.
 
 from __future__ import annotations
 
-import json
 import math
-import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -219,7 +217,7 @@ class CircuitSpec:
 
     def __post_init__(self):
         if self.n_qubits < 1:
-            raise ValueError("n_qubits must be at least 1")
+            raise ValueError("n_qubits: must be at least 1")
         object.__setattr__(self, "gates", tuple(self.gates))
         for i, gate in enumerate(self.gates):
             _validate_gate(gate, i, self.n_qubits)
@@ -291,64 +289,6 @@ def entangler2_preset() -> CircuitSpec:
         Gate("RX", (1,), angle=0.6),
     ]
     return CircuitSpec(n_qubits=2, gates=gates)
-
-
-# ---------------------------------------------------------------------------
-# Circuit JSON interchange
-
-
-def _complex_cell(cell) -> complex:
-    re, im = cell  # exactly two entries, or ValueError
-    if type(re) not in (int, float) or type(im) not in (int, float):
-        raise TypeError("matrix entries must be numbers")
-    return complex(re, im)
-
-
-def _gate_from_json(obj, index: int) -> Gate:
-    where = f"gates[{index}]"
-    if not isinstance(obj, dict):
-        raise ValueError(f"{where}: expected an object")
-    name = obj.get("name")
-    if not isinstance(name, str):
-        raise ValueError(f"{where}.name: missing or not a string")
-    targets = obj.get("targets")
-    if not isinstance(targets, list) or not all(type(t) is int for t in targets):
-        raise ValueError(f"{where}.targets: expected a list of qubit indices")
-    angle = obj.get("angle")
-    if angle is not None and type(angle) not in (int, float):
-        raise ValueError(f"{where}.angle: expected a number")
-    if type(angle) is int:  # an integer past the float range counts as infinite
-        angle = float(angle) if abs(angle) <= sys.float_info.max else math.inf
-    matrix = None
-    if "matrix" in obj:
-        try:
-            matrix = np.array([[_complex_cell(c) for c in row] for row in obj["matrix"]])
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError(f"{where}.matrix: expected 4x4 nested [re, im] pairs") from None
-    unknown = set(obj) - {"name", "targets", "angle", "matrix"}
-    if unknown:
-        raise ValueError(f"{where}: unknown field(s) {sorted(unknown)}")
-    return Gate(name.upper(), tuple(targets), angle, matrix)
-
-
-def parse_circuit_json(text: str) -> CircuitSpec:
-    """Parse {n_qubits, gates:[{name, targets, angle?, matrix?}]} and validate."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from None
-    if not isinstance(data, dict):
-        raise ValueError("top level: expected an object")
-    n_qubits = data.get("n_qubits")
-    if type(n_qubits) is not int or n_qubits < 1:
-        raise ValueError("n_qubits: missing or not a positive integer")
-    gates_raw = data.get("gates")
-    if not isinstance(gates_raw, list):
-        raise ValueError("gates: missing or not a list")
-    unknown = set(data) - {"n_qubits", "gates"}
-    if unknown:
-        raise ValueError(f"top level: unknown field(s) {sorted(unknown)}")
-    return CircuitSpec(n_qubits, tuple(_gate_from_json(g, i) for i, g in enumerate(gates_raw)))
 
 
 # ---------------------------------------------------------------------------

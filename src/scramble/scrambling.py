@@ -183,7 +183,6 @@ def bound_report(
     times: Sequence[float],
     cfg: OtocConfig | None = None,
     include_modified: bool = False,
-    psi: np.ndarray | None = None,
 ) -> dict[str, np.ndarray]:
     """Evolve a pure product state as a ket and sample every bound-9 channel.
 
@@ -192,7 +191,8 @@ def bound_report(
     The grid is evaluated in chunks of times (qdense.time_chunks) and must
     start at t = 0, so the averaged-OTOC baseline is its own first sample.
     Returns the channels keyed by their CSV column names: t, I, I2, Obar,
-    deltaO, slack9 = I - deltaO, and deltaMO when ``include_modified`` is set.
+    deltaO, slack9 = I - deltaO, and deltaMO when ``include_modified`` is set;
+    deltaMO takes modified_otoc's defaults (O_1 = |0><phi|, six stabilizer phi).
     """
     cfg = cfg or OtocConfig()
     times = check_time_grid(times)
@@ -228,7 +228,7 @@ def bound_report(
         else:
             obar[chunk] = averaged_otoc(part, u, cfg)
         if mo is not None:
-            mo[chunk] = modified_otoc(part, u, psi=psi)
+            mo[chunk] = modified_otoc(part, u)
     delta_obar = obar[0] - obar
     table = {"t": times, "I": mi, "I2": mi2, "Obar": obar, "deltaO": delta_obar,
              "slack9": mi - delta_obar}

@@ -4,6 +4,7 @@ import csv
 import json
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,7 +113,7 @@ def test_run_circuit_end_to_end(tmp_path, capsys):
     assert len(data["t"]) == 5
     np.testing.assert_allclose(data["slack9"], data["I"] - data["deltaO"], atol=1e-12)
     assert abs(data["Obar"][0] - 1.0) < 1e-12
-    summary = json.loads(open(cfg["output"] + ".json").read())
+    summary = json.loads(Path(cfg["output"] + ".json").read_text())
     assert summary["kind"] == "circuit"
     assert summary["circuit"] == "builtin:entangler2"
     assert summary["violations"]["slack9"] == 0
@@ -135,7 +136,7 @@ def test_run_syk_end_to_end(tmp_path):
     assert header == ["t", "I", "I2", "Obar", "deltaO", "slack9"]
     assert len(data["t"]) == 6
     assert np.all(data["slack9"] >= -1e-9)
-    summary = json.loads(open(cfg["output"] + ".json").read())
+    summary = json.loads(Path(cfg["output"] + ".json").read_text())
     assert summary["violations"] == {"per_realization_slack9": 0, "slack9": 0}
     assert summary["workers"] == 1
     assert summary["seeds"]["disorder_streams"] == "(base, realization_index)"
@@ -155,7 +156,7 @@ def test_run_bound8_end_to_end(tmp_path):
     assert header == ["t", "I", "I2", "Obar", "deltaO", "Idot", "SdotA", "SdotB",
                       "SdotE", "slack9", "slack8"]
     assert np.all(data["slack8"] >= -1e-9)
-    summary = json.loads(open(cfg["output"] + ".json").read())
+    summary = json.loads(Path(cfg["output"] + ".json").read_text())
     assert summary["violations"]["slack8"] == 0
     # The mutual-information slack is diagnostic for this kind and may dip
     # negative on a generic trajectory without failing the run.
@@ -173,7 +174,7 @@ def test_run_bound8_ising_model(tmp_path):
         "output": str(tmp_path / "ising"),
     }
     assert cli.main(["run", write_config(tmp_path, cfg)]) == 0
-    summary = json.loads(open(cfg["output"] + ".json").read())
+    summary = json.loads(Path(cfg["output"] + ".json").read_text())
     assert summary["model"]["type"] == "ising_chain"
     assert summary["violations"]["slack8"] == 0
 
@@ -183,7 +184,7 @@ def test_run_otoc_sweep_records_identity_gap(tmp_path):
     assert cli.main(["run", write_config(tmp_path, cfg)]) == 0
     header, _ = read_csv(cfg["output"] + ".csv")
     assert "deltaMO" not in header
-    summary = json.loads(open(cfg["output"] + ".json").read())
+    summary = json.loads(Path(cfg["output"] + ".json").read_text())
     gap = summary["exp_neg_i2_vs_obar"]
     assert 0.0 <= gap["mean"] <= gap["max"]
 
@@ -191,7 +192,7 @@ def test_run_otoc_sweep_records_identity_gap(tmp_path):
 def test_csv_cells_are_full_precision(tmp_path):
     cfg = base_circuit_config(tmp_path)
     cli.main(["run", write_config(tmp_path, cfg)])
-    lines = open(cfg["output"] + ".csv").read().splitlines()
+    lines = Path(cfg["output"] + ".csv").read_text().splitlines()
     for line in lines[1:]:
         for cell in line.split(","):
             assert CELL.match(cell), cell
@@ -220,13 +221,13 @@ def test_csv_bitwise_determinism_across_runs_and_workers(tmp_path, monkeypatch):
     cfg = base_syk_config(tmp_path)
     path = write_config(tmp_path, cfg)
     cli.main(["run", path])
-    first = open(cfg["output"] + ".csv", "rb").read()
+    first = Path(cfg["output"] + ".csv").read_bytes()
     cli.main(["run", path])
-    assert open(cfg["output"] + ".csv", "rb").read() == first
+    assert Path(cfg["output"] + ".csv").read_bytes() == first
     monkeypatch.setenv("SCRAMBLE_WORKERS", "2")
     cli.main(["run", path])
-    assert open(cfg["output"] + ".csv", "rb").read() == first
-    summary = json.loads(open(cfg["output"] + ".json").read())
+    assert Path(cfg["output"] + ".csv").read_bytes() == first
+    summary = json.loads(Path(cfg["output"] + ".json").read_text())
     assert summary["workers"] == 2
 
 
@@ -296,6 +297,8 @@ def test_validate_reports_json_syntax_position(tmp_path, capsys):
         (lambda c: c.update(syk={}), "syk: unknown field"),
         (lambda c: c["partition"].update(n_c=1), "partition.n_c: unknown field"),
         (lambda c: c["time_grid"].update(step=0.1), "time_grid.step: unknown field"),
+        (lambda c: c.update(partition=[1, 4]), "partition: missing or not an object"),
+        (lambda c: c.update(otoc="x"), "otoc: missing or not an object"),
     ],
 )
 def test_circuit_config_validation_errors(tmp_path, capsys, mutate, needle):
@@ -342,7 +345,7 @@ def test_huge_integer_gate_angle_is_a_field_error(tmp_path, capsys):
     (tmp_path / "big.json").write_text(json.dumps({"n_qubits": 2, "gates": gates}))
     cfg = base_circuit_config(tmp_path, circuit="big.json")
     assert cli.main(["validate", write_config(tmp_path, cfg)]) == 2
-    assert "circuit (big.json): gates[0].angle: not a finite number" in capsys.readouterr().err
+    assert "circuit (big.json): gates[0].angle: expected a finite number" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from _oracles import (
     syk_hamiltonian_literal,
 )
 from scramble import models
+from scramble.cli import parse_circuit_json
 from scramble.models import (
     CircuitSpec,
     Gate,
@@ -22,7 +23,6 @@ from scramble.models import (
     build_syk_hamiltonian,
     circuit_unitary_family,
     entangler2_preset,
-    parse_circuit_json,
     realize_circuit,
     scrambler_preset,
     syk_couplings,
@@ -333,6 +333,23 @@ def test_parse_circuit_json_custom_matrix_roundtrip():
             '{"n_qubits": 2, "gates": [{"name": "H", "targets": [0], "spin": 1}]}',
             "unknown field",
         ),
+        pytest.param(
+            '{"n_qubits": 2, "gates": [{"name": "H", "targets": [0], "spin": 1}]}',
+            r"^gates\[0\]\.spin: unknown field$",
+            id="gate-unknown-field-path",
+        ),
+        pytest.param(
+            '{"n_qubits": 2, "gates": [], "extra": 1}',
+            r"^extra: unknown field$",
+            id="top-level-unknown-field-path",
+        ),
+        pytest.param('{"n_qubits": 0, "gates": []}', r"^n_qubits: must be at least 1$",
+                     id="no-qubits"),
+        pytest.param(
+            '{"n_qubits": 2, "gates": [{"name": "RX", "targets": [0], "angle": null}]}',
+            r"^gates\[0\]\.angle: expected float$",
+            id="angle-null",
+        ),
         (
             '{"n_qubits": 2, "gates": [{"name": "CUSTOM", "targets": [0, 1], "matrix": [1]}]}',
             r"gates\[0\].matrix",
@@ -360,7 +377,7 @@ def test_parse_circuit_json_custom_matrix_roundtrip():
         pytest.param(
             '{"n_qubits": 2, "gates": [{"name": "RX", "targets": [0], "angle": 1'
             + "0" * 400 + "}]}",
-            r"gates\[0\].angle: not a finite number",
+            r"gates\[0\].angle: expected a finite number",
             id="angle-beyond-float",
         ),
         pytest.param(
