@@ -20,7 +20,7 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .liouville import DEFAULT_DELTA, bound8_report, regularize
+from .liouville import DEFAULT_DELTA, bound8_report
 from .models import (
     CircuitSpec,
     Gate,
@@ -32,6 +32,7 @@ from .models import (
 )
 from .qdense import (
     OBAR_T0_TOL,
+    RANK_TOL,
     SIGMA_X,
     SIGMA_Z,
     SLACK_TOL,
@@ -244,7 +245,7 @@ def load_config(path: str) -> ExperimentConfig:
         realizations = _field(block, "realizations", int, "syk", required=False, default=300)
         try:
             cfg.syk = SykConfig(n_majorana=n_majorana, q=q, j_squared=j_squared,
-                                seed=seed, realizations=realizations, time_grid=times)
+                                seed=seed, realizations=realizations)
         except ValueError as exc:
             raise ConfigError(f"syk: {exc}") from None
         _expect(partition.n_qubits == cfg.syk.n_qubits,
@@ -269,6 +270,10 @@ def load_config(path: str) -> ExperimentConfig:
             cfg.model[key] = _field(block, key, float, "model", required=False, default=default)
         cfg.delta = _field(data, "delta", float, required=False, default=DEFAULT_DELTA)
         _expect(0.0 < cfg.delta < 1.0, "delta: must be in (0, 1)")
+        # The regularized start's smallest marginal eigenvalue is delta / d_X.
+        floor = RANK_TOL * max(partition.dim_a, partition.dim_b)
+        _expect(cfg.delta >= floor, f"delta: must be at least {floor!r} at this partition, "
+                "or a marginal of the regularized start is rank deficient")
     return cfg
 
 
@@ -348,7 +353,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dict, str]:
                 raise ConfigError(f"SCRAMBLE_WORKERS: not an integer: {env!r}") from None
             _expect(workers >= 1, "SCRAMBLE_WORKERS: must be at least 1")
         initial = _zero_state(cfg.syk.n_qubits)
-        reports, table = syk_trajectory(cfg.syk, cfg.partition, initial,
+        reports, table = syk_trajectory(cfg.syk, cfg.partition, initial, cfg.times,
                                         otoc_cfg=cfg.otoc, workers=workers)
         summary["seeds"]["disorder_streams"] = "(base, realization_index)"
         summary["workers"] = workers
@@ -365,12 +370,9 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dict, str]:
             gap = np.abs(np.exp(-table["I2"]) - table["Obar"])
             summary["exp_neg_i2_vs_obar"] = {"max": float(gap.max()), "mean": float(gap.mean())}
     else:
-        # bound8: scrambling channels from the pure start, rate channels from
-        # the delta-regularized twin of the same trajectory.
-        h = _bound8_hamiltonian(cfg)
         initial = _zero_state(cfg.partition.n_qubits)
-        table = {**bound_report(h, cfg.partition, initial, cfg.times, cfg=cfg.otoc),
-                 **bound8_report(h, regularize(initial, cfg.delta), cfg.partition, cfg.times)}
+        table = bound8_report(_bound8_hamiltonian(cfg), cfg.partition, initial, cfg.times,
+                              cfg.delta, cfg.otoc)
         summary["model"] = cfg.model
         summary["delta"] = cfg.delta
 
@@ -418,9 +420,11 @@ def cmd_run(ref: str) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except AssertionViolation as exc:
+    except (AssertionViolation, ValueError) as exc:
+        # A ValueError here is a library check failing mid-run (an imaginary
+        # residue, say), before any CSV is written.
         print(f"assertion violation: {exc}", file=sys.stderr)
-        # The CSV was written; a summary left by an earlier run would not describe it.
+        # A summary left by an earlier run would not describe this run.
         with contextlib.suppress(FileNotFoundError):
             os.remove(cfg.output + ".json")
         return 3

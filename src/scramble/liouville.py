@@ -23,7 +23,6 @@ from .qdense import (
     as_complex_matrix,
     check_density_matrix,
     check_hermitian,
-    check_time_grid,
     dagger,
     eigh,
     float_or_array,
@@ -31,12 +30,15 @@ from .qdense import (
     time_chunks,
     unitary_family,
 )
+from .scrambling import OtocConfig, bound_report
 
 DEFAULT_DELTA = 1e-6
 
 
 def regularize(rho: DensityMatrix, delta: float = DEFAULT_DELTA) -> DensityMatrix:
-    """Mix in delta of the maximally mixed state to lift rank deficiency."""
+    """Mix in delta, in (0, 1), of the maximally mixed state to lift rank deficiency."""
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must be in (0, 1), got {delta!r}")
     rho = np.asarray(rho, dtype=complex)
     d = rho.shape[0]
     return (1.0 - delta) * rho + delta * np.eye(d) / d
@@ -203,26 +205,27 @@ def entropy_production_rates(h: ComplexMatrix, rho_s: DensityMatrix, part: Bipar
 
 def bound8_report(
     h: ComplexMatrix,
-    initial: DensityMatrix,
     part: Bipartition,
+    initial: DensityMatrix,
     times: Sequence[float],
+    delta: float = DEFAULT_DELTA,
+    cfg: OtocConfig | None = None,
 ) -> dict[str, np.ndarray]:
-    """Sample the entropy-production bound along exp(-iHt) evolution.
+    """Both bounds along exp(-iHt), from one eigensystem of H.
 
-    ``initial`` must already be full-rank on both marginals (regularize a
-    pure start first); every sample evaluates the rates in that instant's
-    marginal eigenbasis. The grid is evaluated in chunks of times, each one
-    stack of rho(t) (qdense.time_chunks, sized by W's d^4 entries per
-    sample). Returns ``t`` and each entropy_production_rates channel as an
-    array over the grid.
+    bound_report validates the pure product start ``initial`` and the grid and
+    gives the bound-9 channels. The rate channels follow the same U(t) from
+    regularize(initial, delta), one stack of rho(t) per chunk of times sized by
+    W's d^4 entries per sample (qdense.time_chunks); a delta too small for the
+    partition is refused at t = 0. Returns both channel tables as one.
     """
     h = as_complex_matrix(h)
-    initial = check_density_matrix(as_complex_matrix(initial), "initial")
-    times = check_time_grid(times)
-    _full_rank_marginals(initial, part)
     u_of_t = unitary_family(*eigh(h))
+    rho_0 = regularize(as_complex_matrix(initial), delta)
+    table = bound_report(u_of_t, part, initial, times, cfg)
+    times = table["t"]
     chunks = []
     for chunk in time_chunks(times.size, part.dim**4):
         u = u_of_t(times[chunk])
-        chunks.append(entropy_production_rates(h, u @ initial @ dagger(u), part))
-    return {"t": times, **{k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]}}
+        chunks.append(entropy_production_rates(h, u @ rho_0 @ dagger(u), part))
+    return {**table, **{k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]}}

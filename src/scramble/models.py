@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Sequence
@@ -41,7 +41,6 @@ class SykConfig:
     j_squared: float
     seed: int
     realizations: int
-    time_grid: np.ndarray = field(default_factory=lambda: np.linspace(0.0, 20.0, 101))
 
     def __post_init__(self):
         if self.n_majorana % 2 or self.n_majorana < 4:
@@ -52,7 +51,6 @@ class SykConfig:
             raise ValueError("j_squared must be positive")
         if self.realizations < 1:
             raise ValueError("realizations must be at least 1")
-        self.time_grid = np.asarray(self.time_grid, dtype=float)
 
     @property
     def n_qubits(self) -> int:
@@ -296,9 +294,9 @@ def entangler2_preset() -> CircuitSpec:
 
 
 def _syk_realization(args) -> dict[str, np.ndarray]:
-    cfg, part, initial, otoc_cfg, k = args
+    cfg, part, initial, times, otoc_cfg, k = args
     h = build_syk_hamiltonian(cfg, k)
-    return bound_report(h, part, initial, cfg.time_grid, otoc_cfg)
+    return bound_report(h, part, initial, times, otoc_cfg)
 
 
 def average_reports(reports: Sequence[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
@@ -313,10 +311,11 @@ def syk_trajectory(
     cfg: SykConfig,
     part: Bipartition,
     initial: DensityMatrix,
+    times: Sequence[float],
     otoc_cfg: OtocConfig | None = None,
     workers: int = 1,
 ) -> tuple[list[dict[str, np.ndarray]], dict[str, np.ndarray]]:
-    """Per-realization channel tables plus their realization average.
+    """Per-realization channel tables on the grid ``times``, plus their average.
 
     Realizations are independent work units; with workers > 1 they run in a
     process pool of at most one process per realization, and the reduction is
@@ -326,7 +325,7 @@ def syk_trajectory(
     if part.dim != 2**cfg.n_qubits:
         raise ValueError("partition does not match the SYK register size")
     otoc_cfg = otoc_cfg or OtocConfig()
-    jobs = [(cfg, part, initial, otoc_cfg, k) for k in range(cfg.realizations)]
+    jobs = [(cfg, part, initial, times, otoc_cfg, k) for k in range(cfg.realizations)]
     workers = min(workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

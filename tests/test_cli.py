@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scramble import cli
+from scramble import cli, entropy, liouville, models, qdense, scrambling
 from scramble.scrambling import OtocConfig
 
 CELL = re.compile(r"^-?\d\.\d{16}e[+-]\d{2,3}$")
@@ -395,6 +395,10 @@ def test_bound8_config_validation_errors(tmp_path, capsys):
     cfg["delta"] = 2.0
     assert cli.main(["validate", write_config(tmp_path, cfg, "c4.json")]) == 2
     assert "delta" in capsys.readouterr().err
+    # At 1|1 the regularized start's smallest marginal eigenvalue is delta / 2.
+    cfg["delta"] = 1e-12
+    assert cli.main(["validate", write_config(tmp_path, cfg, "c4.json")]) == 2
+    assert "delta: must be at least 2e-09" in capsys.readouterr().err
     # The random model and SYK draw from the seed; numpy refuses a negative one.
     cfg["delta"], cfg["seed"] = 1e-6, -3
     assert cli.main(["validate", write_config(tmp_path, cfg, "c5.json")]) == 2
@@ -498,9 +502,42 @@ def test_bound8_slack9_is_diagnostic_only(tmp_path, monkeypatch):
         "deltaO": np.array([0.0, 0.6, 0.7]),
         "slack9": np.array([0.0, -0.6, -0.7]),
     }
-    monkeypatch.setattr(cli, "bound_report", lambda *a, **k: fake)
+    monkeypatch.setattr(liouville, "bound_report", lambda *a, **k: fake)
     cfg = bound8_config(tmp_path)
     assert cli.main(["run", write_config(tmp_path, cfg)]) == 0
     summary = json.loads((tmp_path / "b8.json").read_text())
     assert summary["violations"]["slack9"] == 2
     assert summary["violations"]["slack8"] == 0
+
+
+def test_bound8_run_diagonalizes_h_once(tmp_path, monkeypatch):
+    original = qdense.eigh
+    shapes = []
+
+    def counted(h):
+        shapes.append(np.shape(h))
+        return original(h)
+
+    for module in (qdense, entropy, scrambling, liouville, models, cli):
+        if getattr(module, "eigh", None) is original:
+            monkeypatch.setattr(module, "eigh", counted)
+    cfg = cli.load_config(write_config(tmp_path, bound8_config(tmp_path)))
+    cli.run_experiment(cfg)
+    d = cfg.partition.dim
+    # The marginals are diagonalized as (T, d_X, d_X) stacks.
+    assert shapes.count((d, d)) == 1
+
+
+def test_library_value_error_exits_3_without_traceback(tmp_path, capsys):
+    # A good run first leaves a summary at the same output.
+    assert cli.main(["run", write_config(tmp_path, base_syk_config(tmp_path))]) == 0
+    os.remove(tmp_path / "out" / "syk.csv")
+    # The initial-state OTOC average on SYK dynamics keeps an imaginary
+    # residue, which the library refuses mid-run.
+    cfg = base_syk_config(tmp_path, seed=1, otoc={"expectation_state": "initial_state"})
+    assert cli.main(["run", write_config(tmp_path, cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "assertion violation" in err and "imaginary residue" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "syk.csv").exists()
+    assert not (tmp_path / "out" / "syk.json").exists()

@@ -23,6 +23,7 @@ from scramble.liouville import (
     regularize,
 )
 from scramble.qdense import (
+    RANK_TOL,
     Bipartition,
     evolve_unitary,
     haar_unitary,
@@ -45,6 +46,12 @@ def test_regularize_mixes_toward_identity():
     np.testing.assert_allclose(out, 0.999 * rho + 1e-3 * np.eye(4) / 4, atol=1e-15)
     assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.eigvalsh(out).min() > 0
+
+
+@pytest.mark.parametrize("delta", [0.0, 1.0, -1e-3, np.nan])
+def test_regularize_refuses_delta_outside_unit_interval(delta):
+    with pytest.raises(ValueError, match=r"delta must be in \(0, 1\)"):
+        regularize(zero_state(2), delta)
 
 
 def test_instantaneous_basis_diagonalizes_marginals_descending():
@@ -305,12 +312,12 @@ def test_bound8_report_matches_pointwise_rates():
     h = random_hermitian(4, seeded_rng(912))
     initial = regularize(zero_state(2))
     times = np.linspace(0.0, 2.0, 7)
-    rep = bound8_report(h, initial, part, times)
+    rep = bound8_report(h, part, zero_state(2), times)
     np.testing.assert_array_equal(rep["t"], times)
     k = 3
     u = evolve_unitary(h, times[k])
     rates = entropy_production_rates(h, u @ initial @ u.conj().T, part)
-    assert set(rep) == {"t"} | set(rates)
+    assert set(rep) == {"t", "I", "I2", "Obar", "deltaO", "slack9"} | set(rates)
     assert rep["Idot"][k] == pytest.approx(rates["Idot"], abs=1e-10)
     assert rep["SdotA"][k] == pytest.approx(rates["SdotA"], rel=1e-9)
     assert rep["SdotB"][k] == pytest.approx(rates["SdotB"], rel=1e-9)
@@ -321,14 +328,15 @@ def test_bound8_report_matches_pointwise_rates():
 def test_bound8_report_requires_full_rank_start():
     part = Bipartition(1, 1)
     h = random_hermitian(4, seeded_rng(913))
+    # The regularized start's marginals have smallest eigenvalue delta / 2.
     with pytest.raises(ValueError, match="regularize"):
-        bound8_report(h, zero_state(2), part, np.linspace(0.0, 1.0, 3))
+        bound8_report(h, part, zero_state(2), np.linspace(0.0, 1.0, 3), RANK_TOL)
 
 
 def test_bound8_report_no_violations_on_frozen_instance():
     part = Bipartition(1, 2)
     h = random_hermitian(8, seeded_rng(914))
-    rep = bound8_report(h, regularize(zero_state(3)), part, np.linspace(0.0, 4.0, 21))
+    rep = bound8_report(h, part, zero_state(3), np.linspace(0.0, 4.0, 21))
     assert np.all(rep["slack8"] > 0.0)
 
 

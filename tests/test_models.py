@@ -71,9 +71,11 @@ def test_majorana_explicit_strings():
 # --- SYK ensemble ------------------------------------------------------------
 
 
+SYK_TIMES = np.linspace(0.0, 1.0, 5)
+
+
 def syk_config(**overrides):
-    base = dict(n_majorana=6, q=4, j_squared=2.0, seed=3, realizations=2,
-                time_grid=np.linspace(0.0, 1.0, 5))
+    base = dict(n_majorana=6, q=4, j_squared=2.0, seed=3, realizations=2)
     base.update(overrides)
     return SykConfig(**base)
 
@@ -440,7 +442,7 @@ def zero_state(n: int) -> np.ndarray:
 def test_syk_trajectory_reports_and_average():
     cfg = syk_config()
     part = Bipartition(1, 2)
-    reports, avg = syk_trajectory(cfg, part, zero_state(3))
+    reports, avg = syk_trajectory(cfg, part, zero_state(3), SYK_TIMES)
     assert len(reports) == cfg.realizations
     ref = average_reports(reports)
     np.testing.assert_array_equal(avg["I"], ref["I"])
@@ -451,8 +453,8 @@ def test_syk_trajectory_reports_and_average():
 def test_syk_trajectory_worker_count_invariance():
     cfg = syk_config(realizations=3)
     part = Bipartition(1, 2)
-    _, serial = syk_trajectory(cfg, part, zero_state(3), workers=1)
-    _, pooled = syk_trajectory(cfg, part, zero_state(3), workers=2)
+    _, serial = syk_trajectory(cfg, part, zero_state(3), SYK_TIMES, workers=1)
+    _, pooled = syk_trajectory(cfg, part, zero_state(3), SYK_TIMES, workers=2)
     assert set(serial) == set(pooled) == {"t", "I", "I2", "Obar", "deltaO", "slack9"}
     for name in serial:
         np.testing.assert_array_equal(serial[name], pooled[name])
@@ -481,7 +483,7 @@ def test_syk_trajectory_caps_pool_workers_at_realizations(monkeypatch, workers,
 
     monkeypatch.setattr(models, "ProcessPoolExecutor", RecordingPool)
     reports, _ = syk_trajectory(syk_config(realizations=realizations), Bipartition(1, 2),
-                                zero_state(3), workers=workers)
+                                zero_state(3), SYK_TIMES, workers=workers)
     assert requested == pools
     assert len(reports) == realizations
 
@@ -489,7 +491,7 @@ def test_syk_trajectory_caps_pool_workers_at_realizations(monkeypatch, workers,
 def test_syk_trajectory_partition_mismatch():
     cfg = syk_config()
     with pytest.raises(ValueError):
-        syk_trajectory(cfg, Bipartition(1, 1), zero_state(2))
+        syk_trajectory(cfg, Bipartition(1, 1), zero_state(2), SYK_TIMES)
 
 
 def test_syk_trajectory_honors_otoc_config():
@@ -498,8 +500,8 @@ def test_syk_trajectory_honors_otoc_config():
     # only come from the otoc_cfg reaching the realizations.
     cfg = syk_config(realizations=1)
     part = Bipartition(1, 2)
-    syk_trajectory(cfg, part, zero_state(3))
+    syk_trajectory(cfg, part, zero_state(3), SYK_TIMES)
     with pytest.raises(ValueError, match="imaginary residue"):
         syk_trajectory(
-            cfg, part, zero_state(3), otoc_cfg=OtocConfig(expectation_state="initial_state")
+            cfg, part, zero_state(3), SYK_TIMES, OtocConfig(expectation_state="initial_state")
         )

@@ -159,7 +159,7 @@ def _tables(part):
     return {
         "hamiltonian": bound_report(h, part, start, times, include_modified=True),
         "circuit": bound_report(circuit, part, start, np.linspace(0.0, 1.0, 23)),
-        "bound8": bound8_report(h, regularize(start), part, times),
+        "bound8": bound8_report(h, part, start, times),
     }
 
 
