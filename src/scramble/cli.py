@@ -270,8 +270,9 @@ def load_config(path: str) -> ExperimentConfig:
             cfg.model[key] = _field(block, key, float, "model", required=False, default=default)
         cfg.delta = _field(data, "delta", float, required=False, default=DEFAULT_DELTA)
         _expect(0.0 < cfg.delta < 1.0, "delta: must be in (0, 1)")
-        # The regularized start's smallest marginal eigenvalue is delta / d_X.
-        floor = RANK_TOL * max(partition.dim_a, partition.dim_b)
+        # The regularized start's smallest marginal eigenvalue is delta / d_X,
+        # and eigh may return it a few ulp lower: keep it twice RANK_TOL.
+        floor = 2 * RANK_TOL * max(partition.dim_a, partition.dim_b)
         _expect(cfg.delta >= floor, f"delta: must be at least {floor!r} at this partition, "
                 "or a marginal of the regularized start is rank deficient")
     return cfg
@@ -422,11 +423,14 @@ def cmd_run(ref: str) -> int:
         return 2
     except (AssertionViolation, ValueError) as exc:
         # A ValueError here is a library check failing mid-run (an imaginary
-        # residue, say), before any CSV is written.
+        # residue, say), before any CSV is written; an AssertionViolation
+        # comes after this run's CSV, which is kept for inspection.
         print(f"assertion violation: {exc}", file=sys.stderr)
-        # A summary left by an earlier run would not describe this run.
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(cfg.output + ".json")
+        # Outputs left by an earlier run would not describe this run.
+        stale = (".json",) if isinstance(exc, AssertionViolation) else (".json", ".csv")
+        for suffix in stale:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(cfg.output + suffix)
         return 3
     _rewrite(cfg.output + ".json", json.dumps(summary, indent=2) + "\n")
     print(f"wrote {csv_path} and {cfg.output}.json")

@@ -51,7 +51,11 @@ def _full_rank_marginals(rho_s: DensityMatrix, part: Bipartition):
     """
     wa, va = eigh(partial_trace(rho_s, part, "A"))
     wb, vb = eigh(partial_trace(rho_s, part, "B"))
-    wa, va, wb, vb = wa[..., ::-1], va[..., ::-1], wb[..., ::-1], vb[..., ::-1]
+    # Eigenvalues copied out of the reversed view: np.log of one reversed row
+    # takes another code path than of a stack, which moved Idot by an ulp with
+    # the number of states per call.
+    wa, wb = np.ascontiguousarray(wa[..., ::-1]), np.ascontiguousarray(wb[..., ::-1])
+    va, vb = va[..., ::-1], vb[..., ::-1]
     for evals, label in ((wa, "A"), (wb, "B")):
         if evals.min() < RANK_TOL:
             raise ValueError(
@@ -139,33 +143,14 @@ def _pair_phases(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mag, phase
 
 
-def entropy_production_rates(h: ComplexMatrix, rho_s: DensityMatrix, part: Bipartition):
-    """Local entropy-production sums, exchange term, and geometry coefficients.
+def _w_sums(h: ComplexMatrix, basis: ComplexMatrix, a_rows: np.ndarray, b_rows: np.ndarray):
+    """(S_dot_A, S_E^A, S_dot_B, S_E^B) of each sample of a (T, d, d) stack of bases.
 
-    All sums run over ordered Liouville index pairs (m, m'), skipping pairs
-    where either |W| entry is at or below the cutoff and the pairs m = m',
-    whose log(W/W^T) is exactly 0. Each term is |W| |log(W/W^T) + s| with a
-    real shift s (0 for the exchange sums). W is skew-Hermitian, so
-    log(W/W^T) is the pure phase i arg(-W^2) on the principal branch
-    (_pair_phases) and a term is |W| hypot(s, |arg(-W^2)|).
-    W is nonzero only where m = (r, c) and m' = (r', c') share c or share r,
-    so the sums run over those two d^3 blocks: every other pair has W = 0.
-    The exchange channel is reported as SdotE = S_E^A + S_E^B with coeffC
-    the matching weighted ratio, preserving the weighted product exactly.
-    Keys are the channel names: Idot, SdotA, SdotB, SdotE, coeffA, coeffB,
-    coeffC, bound_rhs = coeffA SdotA + coeffB SdotB + coeffC SdotE, and
-    slack8 = bound_rhs - Idot. ``rho_s`` is one state, giving floats, or a
-    (..., d, d) stack, giving arrays over the leading axes.
+    The only code that builds W: one (T, d^2, d^2) stack, freed on return.
+    ``a_rows`` and ``b_rows`` are the (T, d) marginal weights of each row index.
     """
-    i_dot = mutual_information_rate(h, rho_s, part)  # validates h, rho_s and part
-    rho_s = np.asarray(rho_s, dtype=complex)
-    d = part.dim
-    lead = rho_s.shape[:-2]
-    wa, va, wb, vb = _full_rank_marginals(rho_s, part)
-    basis = _product_basis(va, vb)
-    w = build_liouvillian(h, basis).reshape(lead + (d, d, d, d))
-    rho_rot = dagger(basis) @ rho_s @ basis
-
+    d = basis.shape[-1]
+    w = build_liouvillian(h, basis).reshape(basis.shape[:-2] + (d, d, d, d))
     # Same column, [r, r', c]: the weights w(r') enter as the prefactor and as
     # the real shift log(w(r')/w(r)), which keeps the principal branch.
     mag_c, phase_c = _pair_phases(w.diagonal(axis1=-3, axis2=-1))
@@ -183,12 +168,46 @@ def entropy_production_rates(h: ComplexMatrix, rho_s: DensityMatrix, part: Bipar
         return ((weights * s_dot_c).sum(axis=-1) + same_r,
                 (weights * exchange_c).sum(axis=-1) + same_r)
 
+    return local_sums(a_rows) + local_sums(b_rows)
+
+
+def entropy_production_rates(h: ComplexMatrix, rho_s: DensityMatrix, part: Bipartition):
+    """Local entropy-production sums, exchange term, and geometry coefficients.
+
+    All sums run over ordered Liouville index pairs (m, m'), skipping pairs
+    where either |W| entry is at or below the cutoff and the pairs m = m',
+    whose log(W/W^T) is exactly 0. Each term is |W| |log(W/W^T) + s| with a
+    real shift s (0 for the exchange sums). W is skew-Hermitian, so
+    log(W/W^T) is the pure phase i arg(-W^2) on the principal branch
+    (_pair_phases) and a term is |W| hypot(s, |arg(-W^2)|).
+    W is nonzero only where m = (r, c) and m' = (r', c') share c or share r,
+    so the sums run over those two d^3 blocks: every other pair has W = 0.
+    The exchange channel is reported as SdotE = S_E^A + S_E^B with coeffC
+    the matching weighted ratio, preserving the weighted product exactly.
+    Keys are the channel names: Idot, SdotA, SdotB, SdotE, coeffA, coeffB,
+    coeffC, bound_rhs = coeffA SdotA + coeffB SdotB + coeffC SdotE, and
+    slack8 = bound_rhs - Idot. ``rho_s`` is one state, giving floats, or a
+    (..., d, d) stack, giving arrays over the leading axes.
+    Validation, Idot, the marginal eigensystems and the coefficients are taken
+    once over the whole stack; W, with d^4 entries per sample, is built only
+    for sub-stacks of the flattened leading axes cut by qdense.time_chunks.
+    """
+    i_dot = mutual_information_rate(h, rho_s, part)  # validates h, rho_s and part
+    rho_s = np.asarray(rho_s, dtype=complex)
+    d = part.dim
+    lead = rho_s.shape[:-2]
+    wa, va, wb, vb = _full_rank_marginals(rho_s, part)
+    basis = _product_basis(va, vb)
     a_rows = np.repeat(wa, part.dim_b, axis=-1)
     b_rows = np.tile(wb, part.dim_a)
-    s_dot_a, s_e_a = local_sums(a_rows)
-    s_dot_b, s_e_b = local_sums(b_rows)
 
-    abs_rho = np.abs(rho_rot)
+    # W holds d^4 entries per state: one W per sub-stack of the flattened
+    # leading axes, each freed inside _w_sums before the next is built.
+    bases, a_flat, b_flat = basis.reshape(-1, d, d), a_rows.reshape(-1, d), b_rows.reshape(-1, d)
+    sums = [_w_sums(h, bases[c], a_flat[c], b_flat[c]) for c in time_chunks(len(bases), d**4)]
+    s_dot_a, s_e_a, s_dot_b, s_e_b = (np.concatenate(s).reshape(lead) for s in zip(*sums))
+
+    abs_rho = np.abs(dagger(basis) @ rho_s @ basis)
     coeff_a = d * d * (abs_rho / a_rows[..., np.newaxis]).sum(axis=(-2, -1))
     coeff_b = d * d * (abs_rho / b_rows[..., np.newaxis]).sum(axis=(-2, -1))
     s_dot_e = s_e_a + s_e_b
@@ -215,17 +234,22 @@ def bound8_report(
 
     bound_report validates the pure product start ``initial`` and the grid and
     gives the bound-9 channels. The rate channels follow the same U(t) from
-    regularize(initial, delta), one stack of rho(t) per chunk of times sized by
-    W's d^4 entries per sample (qdense.time_chunks); a delta too small for the
-    partition is refused at t = 0. Returns both channel tables as one.
+    regularize(initial, delta), one entropy_production_rates call per chunk of
+    times, the chunks of U(t) with d^2 entries per sample (qdense.time_chunks);
+    a delta too small for the partition is refused at t = 0. Returns both
+    channel tables as one.
     """
     h = as_complex_matrix(h)
     u_of_t = unitary_family(*eigh(h))
     rho_0 = regularize(as_complex_matrix(initial), delta)
     table = bound_report(u_of_t, part, initial, times, cfg)
     times = table["t"]
-    chunks = []
-    for chunk in time_chunks(times.size, part.dim**4):
+
+    def rho_of_t(chunk: slice) -> DensityMatrix:
+        """The chunk's rho(t) stack; U(t) is freed before the rates take memory."""
         u = u_of_t(times[chunk])
-        chunks.append(entropy_production_rates(h, u @ rho_0 @ dagger(u), part))
+        return u @ rho_0 @ dagger(u)
+
+    chunks = [entropy_production_rates(h, rho_of_t(chunk), part)
+              for chunk in time_chunks(times.size, part.dim**2)]
     return {**table, **{k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]}}

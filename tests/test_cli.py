@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from scramble import cli, entropy, liouville, models, qdense, scrambling
+from scramble.qdense import RANK_TOL
 from scramble.scrambling import OtocConfig
 
 CELL = re.compile(r"^-?\d\.\d{16}e[+-]\d{2,3}$")
@@ -395,10 +396,11 @@ def test_bound8_config_validation_errors(tmp_path, capsys):
     cfg["delta"] = 2.0
     assert cli.main(["validate", write_config(tmp_path, cfg, "c4.json")]) == 2
     assert "delta" in capsys.readouterr().err
-    # At 1|1 the regularized start's smallest marginal eigenvalue is delta / 2.
+    # At 1|1 the regularized start's smallest marginal eigenvalue is delta / 2,
+    # which must stay twice RANK_TOL.
     cfg["delta"] = 1e-12
     assert cli.main(["validate", write_config(tmp_path, cfg, "c4.json")]) == 2
-    assert "delta: must be at least 2e-09" in capsys.readouterr().err
+    assert "delta: must be at least 4e-09" in capsys.readouterr().err
     # The random model and SYK draw from the seed; numpy refuses a negative one.
     cfg["delta"], cfg["seed"] = 1e-6, -3
     assert cli.main(["validate", write_config(tmp_path, cfg, "c5.json")]) == 2
@@ -406,6 +408,28 @@ def test_bound8_config_validation_errors(tmp_path, capsys):
     cfg["seed"], cfg["modified_otoc"] = 1, False
     assert cli.main(["validate", write_config(tmp_path, cfg, "c6.json")]) == 2
     assert "modified_otoc: unknown field" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_a,n_b", [(1, 2), (2, 1), (2, 3)])
+@pytest.mark.parametrize("model", ["random", "ising_chain"])
+def test_bound8_delta_floor_is_twice_the_rank_tolerance(tmp_path, capsys, n_a, n_b, model):
+    # At delta = RANK_TOL * d_X the smallest marginal eigenvalue sits at
+    # RANK_TOL and eigh can return it a few ulp lower, which stopped the run
+    # with exit 3; validate refuses that delta, and the floor it names runs.
+    cfg = {
+        "kind": "bound8",
+        "partition": {"n_a": n_a, "n_b": n_b},
+        "time_grid": {"start": 0.0, "stop": 4.0, "samples": 5},
+        "model": {"type": model},
+        "seed": 1,
+        "output": str(tmp_path / "b8"),
+    }
+    floor = 2 * RANK_TOL * 2 ** max(n_a, n_b)
+    cfg["delta"] = floor / 2
+    assert cli.main(["run", write_config(tmp_path, cfg)]) == 2
+    assert f"delta: must be at least {floor!r}" in capsys.readouterr().err
+    cfg["delta"] = floor
+    assert cli.main(["run", write_config(tmp_path, cfg)]) == 0
 
 
 def test_missing_config_file(capsys):
@@ -529,11 +553,12 @@ def test_bound8_run_diagonalizes_h_once(tmp_path, monkeypatch):
 
 
 def test_library_value_error_exits_3_without_traceback(tmp_path, capsys):
-    # A good run first leaves a summary at the same output.
+    # A good run first leaves a CSV and a summary at the same output.
     assert cli.main(["run", write_config(tmp_path, base_syk_config(tmp_path))]) == 0
-    os.remove(tmp_path / "out" / "syk.csv")
+    assert (tmp_path / "out" / "syk.csv").exists()
     # The initial-state OTOC average on SYK dynamics keeps an imaginary
-    # residue, which the library refuses mid-run.
+    # residue, which the library refuses mid-run: neither output of the
+    # earlier run may stay behind to pass for this run's.
     cfg = base_syk_config(tmp_path, seed=1, otoc={"expectation_state": "initial_state"})
     assert cli.main(["run", write_config(tmp_path, cfg)]) == 3
     err = capsys.readouterr().err

@@ -263,19 +263,22 @@ def test_pair_phases_give_pi_at_the_cut_and_skip_sub_cutoff_pairs():
 
 def test_entropy_production_rates_peak_memory_stays_near_w():
     # W at 2|3 is (32^2)^2 complex entries, 16 MiB; the rate sums need only
-    # its d^3 support blocks on top of it.
+    # its d^3 support blocks on top of it. A stack builds one W per state,
+    # each freed before the next is built, so five states peak like one.
     part = Bipartition(2, 3)
     rng = seeded_rng(917)
     h = random_hermitian(part.dim, rng)
-    rho = random_density(part.dim, rng)
+    one = random_density(part.dim, rng)
+    stack = np.stack([one] + [random_density(part.dim, rng) for _ in range(4)])
     w_bytes = part.dim**4 * 16
-    tracemalloc.start()
-    try:
-        entropy_production_rates(h, rho, part)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * w_bytes, f"peak {peak / 2**20:.1f} MiB"
+    for rho in (one, stack):
+        tracemalloc.start()
+        try:
+            entropy_production_rates(h, rho, part)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * w_bytes, f"{rho.shape}: peak {peak / 2**20:.1f} MiB"
 
 
 def test_exchange_channel_is_exactly_zero_for_a_real_generator():

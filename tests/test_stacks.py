@@ -116,14 +116,31 @@ def test_rate_stacks_match_slices():
            [mutual_information_rate(h, r, part) for r in rhos])
     bases = np.stack([instantaneous_basis(r, part) for r in rhos])
     _close(build_liouvillian(h, bases), [build_liouvillian(h, b) for b in bases])
+    assert all(isinstance(v, float) for v in entropy_production_rates(h, rhos[0], part).values())
+    _assert_rates_match_slices(h, rhos, part)
+
+
+def _assert_rates_match_slices(h, rhos, part):
     stacked = entropy_production_rates(h, rhos, part)
-    slices = [entropy_production_rates(h, r, part) for r in rhos]
-    assert all(isinstance(v, float) for v in slices[0].values())
+    flat = rhos.reshape((-1, part.dim, part.dim))
+    slices = [entropy_production_rates(h, r, part) for r in flat]
     for key, values in stacked.items():
-        assert values.shape == (len(rhos),)
+        assert values.shape == rhos.shape[:-2]
+        want = np.reshape([s[key] for s in slices], values.shape)
         scale = max(1.0, np.abs(values).max())
-        np.testing.assert_allclose(values / scale, [s[key] / scale for s in slices],
-                                   rtol=0, atol=TOL, err_msg=key)
+        np.testing.assert_allclose(values / scale, want / scale, rtol=0, atol=TOL, err_msg=key)
+
+
+@pytest.mark.parametrize("n_a,n_b,shape", [(1, 2, (10,)), (2, 2, (2, 3))],
+                         ids=["1|2-three-sub-chunks", "2|2-one-state-per-sub-chunk"])
+def test_rate_stacks_spanning_several_w_sub_chunks_match_slices(n_a, n_b, shape):
+    # W holds d^4 entries per state: 4096 at 1|2, so the default budget of
+    # 2^14 entries takes 4 states per sub-chunk; 65536 at 2|2, so one.
+    part = Bipartition(n_a, n_b)
+    rng = seeded_rng(1306, n_a, n_b)
+    h = random_hermitian(part.dim, rng)
+    rhos = np.stack([random_density(part.dim, rng) for _ in range(int(np.prod(shape)))])
+    _assert_rates_match_slices(h, rhos.reshape(shape + (part.dim, part.dim)), part)
 
 
 def _non_hermitian():
@@ -163,14 +180,22 @@ def _tables(part):
     }
 
 
+RATE_CHANNELS = ("Idot", "SdotA", "SdotB", "SdotE", "coeffA", "coeffB", "coeffC",
+                 "bound_rhs", "slack8")
+
+
 @pytest.mark.parametrize("entries", [1, 1 << 40], ids=["one-sample", "whole-grid"])
 def test_chunk_size_leaves_tables_unchanged(monkeypatch, entries):
+    # The bound8 rate channels are per-sample arithmetic on the same rho(t)
+    # whatever the chunking, so they must agree bit for bit.
     part = Bipartition(1, 2)
     default = _tables(part)
     monkeypatch.setattr(qdense, "_STACK_ENTRIES", entries)
     for name, table in _tables(part).items():
         for key, values in table.items():
             want = default[name][key]
+            if name == "bound8" and key in RATE_CHANNELS:
+                assert np.array_equal(values, want), f"{name}.{key}"
             scale = max(1.0, np.abs(want).max())
             np.testing.assert_allclose(values / scale, want / scale, rtol=0, atol=TOL,
                                        err_msg=f"{name}.{key}")
