@@ -43,21 +43,20 @@ from .qdense import (
 )
 from .scrambling import OtocConfig, bound_report
 
-KINDS = ("syk", "circuit", "bound8", "otoc-sweep")
+KINDS = ("syk", "circuit", "bound8")
 # CSV columns in file order; a run writes those its channel table holds.
 COLUMNS = ("t", "I", "I2", "Obar", "deltaO", "deltaMO", "Idot", "SdotA", "SdotB", "SdotE",
            "slack9", "slack8")
 # The slack channel whose violation stops a run, per kind. On a generic
 # Hamiltonian trajectory (bound8) slack9 is a diagnostic only.
-ASSERTED_SLACK = {"syk": "slack9", "circuit": "slack9", "otoc-sweep": "slack9",
-                  "bound8": "slack8"}
+ASSERTED_SLACK = {"syk": "slack9", "circuit": "slack9", "bound8": "slack8"}
 BUILTIN_CIRCUITS = {"scrambler3": scrambler_preset, "entangler2": entangler2_preset}
 # bound8 model types and the defaults of their numeric fields.
 MODEL_FIELDS = {"random": {}, "ising_chain": {"j": 1.0, "hx": 0.7}}
 # Top-level config fields: those of every kind, then each kind's own.
 COMMON_FIELDS = ("kind", "partition", "time_grid", "otoc", "output", "seed", "workers")
 KIND_FIELDS = {"syk": ("syk",), "circuit": ("circuit", "modified_otoc"),
-               "otoc-sweep": ("circuit", "modified_otoc"), "bound8": ("model", "delta")}
+               "bound8": ("model", "delta")}
 
 
 class ConfigError(ValueError):
@@ -166,7 +165,6 @@ class ExperimentConfig:
     raw: dict
     syk: SykConfig | None = None
     circuit: CircuitSpec | None = None
-    circuit_ref: str = ""
     modified: bool = False
     model: dict = field(default_factory=dict)
     delta: float = DEFAULT_DELTA
@@ -184,12 +182,8 @@ def _parse_time_grid(data: dict) -> np.ndarray:
 
 
 def _parse_otoc(data: dict) -> OtocConfig:
-    block = _block(data.get("otoc", {}), "otoc", ("expectation_state", "averaging"))
+    block = _block(data.get("otoc", {}), "otoc", ("expectation_state",))
     kwargs = {key: _field(block, key, str, "otoc") for key in block}
-    # The Pauli-group average is exact; configs may still name its one value.
-    averaging = kwargs.pop("averaging", "exact_enumeration")
-    _expect(averaging == "exact_enumeration", f"otoc.averaging: unknown value {averaging!r}; "
-            "only 'exact_enumeration' is supported")
     try:
         return OtocConfig(**kwargs)
     except ValueError as exc:
@@ -197,15 +191,15 @@ def _parse_otoc(data: dict) -> OtocConfig:
         raise ConfigError(f"otoc.{exc}") from None
 
 
-def _resolve_circuit(ref: str, base_dir: str) -> tuple[CircuitSpec, str]:
+def _resolve_circuit(ref: str, base_dir: str) -> CircuitSpec:
     if ref.startswith("builtin:"):
         name = ref.split(":", 1)[1]
         _expect(name in BUILTIN_CIRCUITS, f"circuit: unknown builtin {name!r}")
-        return BUILTIN_CIRCUITS[name](), ref
+        return BUILTIN_CIRCUITS[name]()
     path = ref if os.path.isabs(ref) else os.path.join(base_dir, ref)
     text = _read_text(path, f"circuit: file not found: {ref}")
     try:
-        return parse_circuit_json(text), ref
+        return parse_circuit_json(text)
     except ValueError as exc:
         raise ConfigError(f"circuit ({ref}): {exc}") from None
 
@@ -251,13 +245,13 @@ def load_config(path: str) -> ExperimentConfig:
         _expect(partition.n_qubits == cfg.syk.n_qubits,
                 f"partition: n_a + n_b = {partition.n_qubits} does not match "
                 f"the {cfg.syk.n_qubits}-qubit SYK register")
-    elif kind in ("circuit", "otoc-sweep"):
-        cfg.circuit, cfg.circuit_ref = _resolve_circuit(_field(data, "circuit", str), base_dir)
+    elif kind == "circuit":
+        cfg.circuit = _resolve_circuit(_field(data, "circuit", str), base_dir)
         _expect(partition.n_qubits == cfg.circuit.n_qubits,
                 f"partition: n_a + n_b = {partition.n_qubits} does not match "
                 f"the {cfg.circuit.n_qubits}-qubit circuit")
         cfg.modified = _field(data, "modified_otoc", bool, required=False,
-                              default=kind == "circuit" and partition.n_a == 1)
+                              default=partition.n_a == 1)
         _expect(not (cfg.modified and partition.n_a != 1),
                 "modified_otoc: requires a single-qubit A subsystem")
     elif kind == "bound8":
@@ -344,6 +338,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dict, str]:
         "violations": {},
     }
 
+    initial = _zero_state(cfg.partition.n_qubits)
     if cfg.kind == "syk":
         workers = cfg.workers
         env = os.environ.get("SCRAMBLE_WORKERS")
@@ -353,7 +348,6 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dict, str]:
             except ValueError:
                 raise ConfigError(f"SCRAMBLE_WORKERS: not an integer: {env!r}") from None
             _expect(workers >= 1, "SCRAMBLE_WORKERS: must be at least 1")
-        initial = _zero_state(cfg.syk.n_qubits)
         reports, table = syk_trajectory(cfg.syk, cfg.partition, initial, cfg.times,
                                         otoc_cfg=cfg.otoc, workers=workers)
         summary["seeds"]["disorder_streams"] = "(base, realization_index)"
@@ -361,17 +355,14 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dict, str]:
         summary["violations"]["per_realization_slack9"] = int(
             sum(np.count_nonzero(r["slack9"] < SLACK_TOL) for r in reports)
         )
-    elif cfg.kind in ("circuit", "otoc-sweep"):
-        initial = _zero_state(cfg.partition.n_qubits)
+    elif cfg.kind == "circuit":
         family = circuit_unitary_family(cfg.circuit)
         table = bound_report(family, cfg.partition, initial, cfg.times,
                              cfg=cfg.otoc, include_modified=cfg.modified)
-        summary["circuit"] = cfg.circuit_ref
-        if cfg.kind == "otoc-sweep":
-            gap = np.abs(np.exp(-table["I2"]) - table["Obar"])
-            summary["exp_neg_i2_vs_obar"] = {"max": float(gap.max()), "mean": float(gap.mean())}
+        summary["circuit"] = cfg.raw["circuit"]
+        gap = np.abs(np.exp(-table["I2"]) - table["Obar"])
+        summary["exp_neg_i2_vs_obar"] = {"max": float(gap.max()), "mean": float(gap.mean())}
     else:
-        initial = _zero_state(cfg.partition.n_qubits)
         table = bound8_report(_bound8_hamiltonian(cfg), cfg.partition, initial, cfg.times,
                               cfg.delta, cfg.otoc)
         summary["model"] = cfg.model

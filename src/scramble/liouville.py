@@ -234,22 +234,20 @@ def bound8_report(
 
     bound_report validates the pure product start ``initial`` and the grid and
     gives the bound-9 channels. The rate channels follow the same U(t) from
-    regularize(initial, delta), one entropy_production_rates call per chunk of
-    times, the chunks of U(t) with d^2 entries per sample (qdense.time_chunks);
-    a delta too small for the partition is refused at t = 0. Returns both
-    channel tables as one.
+    regularize(initial, delta): each chunk of times that bound_report requests
+    forms its U(t) once, and one entropy_production_rates call takes that
+    chunk's rho(t) before bound_report reads U. A delta too small for the
+    partition is refused at t = 0. Returns both channel tables as one.
     """
     h = as_complex_matrix(h)
-    u_of_t = unitary_family(*eigh(h))
+    family = unitary_family(*eigh(h))
     rho_0 = regularize(as_complex_matrix(initial), delta)
+    rates = []
+
+    def u_of_t(t: np.ndarray) -> ComplexMatrix:
+        u = family(t)
+        rates.append(entropy_production_rates(h, u @ rho_0 @ dagger(u), part))
+        return u
+
     table = bound_report(u_of_t, part, initial, times, cfg)
-    times = table["t"]
-
-    def rho_of_t(chunk: slice) -> DensityMatrix:
-        """The chunk's rho(t) stack; U(t) is freed before the rates take memory."""
-        u = u_of_t(times[chunk])
-        return u @ rho_0 @ dagger(u)
-
-    chunks = [entropy_production_rates(h, rho_of_t(chunk), part)
-              for chunk in time_chunks(times.size, part.dim**2)]
-    return {**table, **{k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]}}
+    return {**table, **{k: np.concatenate([r[k] for r in rates]) for k in rates[0]}}

@@ -328,6 +328,28 @@ def test_bound8_report_matches_pointwise_rates():
     assert rep["slack8"][k] == pytest.approx(rates["slack8"], rel=1e-9)
 
 
+def test_bound8_report_forms_each_u_chunk_once(monkeypatch):
+    # Both channel sets read one U(t) per chunk of the grid: d = 16 cuts 150
+    # times into chunks of 64.
+    family = liouville.unitary_family
+    sizes = []
+
+    def recorded(evals, vecs):
+        u_of_t = family(evals, vecs)
+
+        def chunk(t):
+            sizes.append(len(t))
+            return u_of_t(t)
+
+        return chunk
+
+    monkeypatch.setattr(liouville, "unitary_family", recorded)
+    part = Bipartition(1, 3)
+    h = random_hermitian(part.dim, seeded_rng(915))
+    bound8_report(h, part, zero_state(4), np.linspace(0.0, 4.0, 150))
+    assert sizes == [64, 64, 22]
+
+
 def test_bound8_report_requires_full_rank_start():
     part = Bipartition(1, 1)
     h = random_hermitian(4, seeded_rng(913))
