@@ -25,8 +25,8 @@ from .models import (
     CircuitSpec,
     Gate,
     SykConfig,
-    circuit_unitary_family,
     entangler2_preset,
+    realize_circuit,
     scrambler_preset,
     syk_trajectory,
 )
@@ -54,8 +54,8 @@ BUILTIN_CIRCUITS = {"scrambler3": scrambler_preset, "entangler2": entangler2_pre
 # bound8 model types and the defaults of their numeric fields.
 MODEL_FIELDS = {"random": {}, "ising_chain": {"j": 1.0, "hx": 0.7}}
 # Top-level config fields: those of every kind, then each kind's own.
-COMMON_FIELDS = ("kind", "partition", "time_grid", "otoc", "output", "seed", "workers")
-KIND_FIELDS = {"syk": ("syk",), "circuit": ("circuit", "modified_otoc"),
+COMMON_FIELDS = ("kind", "partition", "time_grid", "otoc", "output", "seed")
+KIND_FIELDS = {"syk": ("syk", "workers"), "circuit": ("circuit", "modified_otoc"),
                "bound8": ("model", "delta")}
 
 
@@ -161,10 +161,10 @@ class ExperimentConfig:
     otoc: OtocConfig
     output: str
     seed: int
-    workers: int
     raw: dict
     syk: SykConfig | None = None
     circuit: CircuitSpec | None = None
+    workers: int = 1
     modified: bool = False
     model: dict = field(default_factory=dict)
     delta: float = DEFAULT_DELTA
@@ -222,12 +222,9 @@ def load_config(path: str) -> ExperimentConfig:
     output = _field(data, "output", str)
     seed = _field(data, "seed", int)
     _expect(seed >= 0, "seed: must be a non-negative integer")
-    workers = _field(data, "workers", int, required=False, default=1)
-    _expect(workers >= 1, "workers: must be at least 1")
-
     cfg = ExperimentConfig(
         kind=kind, partition=partition, times=times, otoc=otoc,
-        output=output, seed=seed, workers=workers, raw=data,
+        output=output, seed=seed, raw=data,
     )
     base_dir = os.path.dirname(os.path.abspath(path))
 
@@ -245,6 +242,8 @@ def load_config(path: str) -> ExperimentConfig:
         _expect(partition.n_qubits == cfg.syk.n_qubits,
                 f"partition: n_a + n_b = {partition.n_qubits} does not match "
                 f"the {cfg.syk.n_qubits}-qubit SYK register")
+        cfg.workers = _field(data, "workers", int, required=False, default=1)
+        _expect(cfg.workers >= 1, "workers: must be at least 1")
     elif kind == "circuit":
         cfg.circuit = _resolve_circuit(_field(data, "circuit", str), base_dir)
         _expect(partition.n_qubits == cfg.circuit.n_qubits,
@@ -356,9 +355,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dict, str]:
             sum(np.count_nonzero(r["slack9"] < SLACK_TOL) for r in reports)
         )
     elif cfg.kind == "circuit":
-        family = circuit_unitary_family(cfg.circuit)
-        table = bound_report(family, cfg.partition, initial, cfg.times,
-                             cfg=cfg.otoc, include_modified=cfg.modified)
+        table = bound_report(lambda t: realize_circuit(cfg.circuit, t), cfg.partition,
+                             initial, cfg.times, cfg=cfg.otoc, include_modified=cfg.modified)
         summary["circuit"] = cfg.raw["circuit"]
         gap = np.abs(np.exp(-table["I2"]) - table["Obar"])
         summary["exp_neg_i2_vs_obar"] = {"max": float(gap.max()), "mean": float(gap.mean())}

@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -243,14 +243,6 @@ def realize_circuit(spec: CircuitSpec, t=1.0) -> ComplexMatrix:
         acted = gate.realized(t) @ moved.reshape(lead + (2**m, -1))
         u = np.moveaxis(acted.reshape(moved.shape), front, axes)
     return u.reshape(lead + (d, d))
-
-
-def circuit_unitary_family(spec: CircuitSpec) -> Callable[[np.ndarray], ComplexMatrix]:
-    """Times -> U(t) with all gate angles scaled linearly by t.
-
-    A 1-D array of T times maps to the (T, d, d) stack (see realize_circuit).
-    """
-    return lambda t: realize_circuit(spec, t)
 
 
 def scrambler_preset() -> CircuitSpec:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.random import PCG64, Generator, SeedSequence
 
 ComplexMatrix = np.ndarray
 DensityMatrix = np.ndarray
@@ -218,17 +219,12 @@ def unitary_family(evals: np.ndarray, vecs: ComplexMatrix) -> Callable[..., Comp
     return u_of_t
 
 
-def evolve_unitary(h: ComplexMatrix, t) -> ComplexMatrix:
-    """U(t) = exp(-i h t) via eigendecomposition (hbar = 1); t a float or a 1-D array."""
-    return unitary_family(*eigh(h))(t)
-
-
-def seeded_rng(seed: int, *branch: int) -> np.random.Generator:
+def seeded_rng(seed: int, *branch: int) -> Generator:
     """Deterministic PCG64 generator; extra ints select disjoint substreams."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, *branch))))
+    return Generator(PCG64(SeedSequence((seed, *branch))))
 
 
-def haar_unitary(d: int, rng: np.random.Generator) -> ComplexMatrix:
+def haar_unitary(d: int, rng: Generator) -> ComplexMatrix:
     """Haar-distributed unitary via QR with the R-diagonal phase fix."""
     z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
@@ -236,13 +232,13 @@ def haar_unitary(d: int, rng: np.random.Generator) -> ComplexMatrix:
     return q * (diag / np.abs(diag))[np.newaxis, :]
 
 
-def haar_state(d: int, rng: np.random.Generator) -> np.ndarray:
+def haar_state(d: int, rng: Generator) -> np.ndarray:
     """Haar-random pure state vector."""
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return v / np.linalg.norm(v)
 
 
-def random_density(d: int, rng: np.random.Generator, rank: int | None = None) -> DensityMatrix:
+def random_density(d: int, rng: Generator, rank: int | None = None) -> DensityMatrix:
     """Random mixed state: normalized Wishart of the given rank (default full)."""
     k = d if rank is None else rank
     g = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
@@ -250,6 +246,6 @@ def random_density(d: int, rng: np.random.Generator, rank: int | None = None) ->
     return rho / rho.trace().real
 
 
-def random_hermitian(d: int, rng: np.random.Generator) -> ComplexMatrix:
+def random_hermitian(d: int, rng: Generator) -> ComplexMatrix:
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return (g + g.conj().T) / 2.0

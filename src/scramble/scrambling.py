@@ -29,7 +29,6 @@ from .entropy import mutual_information, purity, renyi2_mutual_information
 from .qdense import (
     IMAG_TOL,
     PURITY_TOL,
-    TRACE_TOL,
     Bipartition,
     ComplexMatrix,
     DensityMatrix,
@@ -58,33 +57,26 @@ class OtocConfig:
             raise ValueError(f"expectation_state: unknown value {self.expectation_state!r}")
 
 
-def averaged_otoc(
-    part: Bipartition,
-    u_t: ComplexMatrix,
-    cfg: OtocConfig,
-    state: DensityMatrix | None = None,
-):
+def averaged_otoc(part: Bipartition, u_t: ComplexMatrix, state: DensityMatrix | None = None):
     """Pauli-group average of <O_A O_B(t) O_A O_B(t)>; equals 1 at t = 0.
 
     ``u_t`` is one (d, d) unitary, giving a float, or a (T, d, d) stack,
-    giving a (T,) array. ``state`` is the expectation state and is only
-    consulted when cfg.expectation_state == "initial_state".
+    giving a (T,) array. ``state`` is the expectation state; None means the
+    maximally mixed state.
     """
     u_t = _unitary_stack(part, u_t)
+    if state is not None:
+        state = check_density_matrix(state)
+        if state.shape != (part.dim, part.dim):
+            raise ValueError("expectation state dimension does not match partition")
+        return _initial_state_otoc(part, u_t, state)
     d_a, d_b = part.dim_a, part.dim_b
-    if cfg.expectation_state == "maximally_mixed":
-        lead = u_t.shape[:-2]
-        y = u_t.reshape(lead + (d_a, d_b, d_a, d_b)).swapaxes(-3, -2)
-        y = y.reshape(lead + (d_a * d_a, d_b * d_b))
-        # |Y Y^dag|_F = |Y^dag Y|_F: form the Gram matrix on the smaller side.
-        gram = y @ dagger(y) if d_a <= d_b else dagger(y) @ y
-        return float_or_array(frobenius_sq(gram) / part.dim**2)
-    if state is None:
-        raise ValueError("initial_state expectation requires a state")
-    state = check_density_matrix(state)
-    if state.shape != (part.dim, part.dim):
-        raise ValueError("expectation state dimension does not match partition")
-    return _initial_state_otoc(part, u_t, state)
+    lead = u_t.shape[:-2]
+    y = u_t.reshape(lead + (d_a, d_b, d_a, d_b)).swapaxes(-3, -2)
+    y = y.reshape(lead + (d_a * d_a, d_b * d_b))
+    # |Y Y^dag|_F = |Y^dag Y|_F: form the Gram matrix on the smaller side.
+    gram = y @ dagger(y) if d_a <= d_b else dagger(y) @ y
+    return float_or_array(frobenius_sq(gram) / part.dim**2)
 
 
 def _unitary_stack(part: Bipartition, u_t) -> ComplexMatrix:
@@ -109,64 +101,31 @@ def _initial_state_otoc(part: Bipartition, u_t: ComplexMatrix, state: DensityMat
     return float_or_array(mean.real)
 
 
-def stabilizer_states() -> list[np.ndarray]:
-    """The six single-qubit stabilizer states (Z, X, Y eigenstates)."""
-    s = 1.0 / np.sqrt(2.0)
-    return [
-        np.array([1.0, 0.0], dtype=complex),
-        np.array([0.0, 1.0], dtype=complex),
-        np.array([s, s], dtype=complex),
-        np.array([s, -s], dtype=complex),
-        np.array([s, 1j * s], dtype=complex),
-        np.array([s, -1j * s], dtype=complex),
-    ]
+def modified_otoc(part: Bipartition, u_t: ComplexMatrix):
+    """State-transfer OTOC with O_1 = |0><phi| on the first qubit.
 
-
-def modified_otoc(
-    part: Bipartition,
-    u_t: ComplexMatrix,
-    phi_set: Sequence[np.ndarray] | None = None,
-    psi: np.ndarray | None = None,
-):
-    """State-transfer OTOC with O_1 = |psi><phi| on the first qubit.
-
-    Averages over the supplied phi set (default: six stabilizer states) and
-    the B-register Pauli strings, in the maximally mixed expectation state.
+    Averages over the six single-qubit stabilizer states phi and the
+    B-register Pauli strings, in the maximally mixed expectation state.
     The string average is exact: sum_P tr(X Q_P Y Q_P) with Q_P = U^dag P U
     equals d_B tr(tr_B(U X U^dag) tr_B(U Y U^dag)), and with X = O_1^dag,
-    Y = O_1 that is d_B |K_phi|_F^2, K_phi = tr_B(U O_1 U^dag). Its t = 0 value
-    is exactly 1/2. K_phi is linear in conj(phi): with K_j = tr_B(U (|psi><j|
-    x I_B) U^dag), sum_phi |K_phi|_F^2 = sum_jk M_jk <K_j, K_k> where
-    M = sum_phi phi phi^dag, so two partial traces serve every phi.
+    Y = O_1 that is d_B |K_phi|_F^2, K_phi = tr_B(U O_1 U^dag). K_phi is
+    linear in conj(phi), and the six phi resolve the identity,
+    sum_phi phi phi^dag = 3 I, so with K_j = tr_B(U (|0><j| x I_B) U^dag)
 
-    ``u_t`` is one (d, d) unitary, giving a float, or a (T, d, d) stack,
-    giving a (T,) array. ``psi`` and every ``phi_set`` state must be finite
-    single-qubit kets of unit norm (within TRACE_TOL).
+        mean = sum_j |K_j|_F^2 / (2 d d_B),
+
+    exactly 1/2 at t = 0. ``u_t`` is one (d, d) unitary, giving a float, or a
+    (T, d, d) stack, giving a (T,) array.
     """
     if part.n_a != 1:
         raise ValueError("the state-transfer OTOC requires a single-qubit A subsystem")
     u_t = _unitary_stack(part, u_t)
-    if phi_set is None:
-        phi_set = stabilizer_states()
-    psi = np.asarray([1.0, 0.0] if psi is None else psi, dtype=complex)
-    if psi.shape != (2,):
-        raise ValueError(f"psi must be a single-qubit state, got shape {psi.shape}")
-    phis = np.asarray(phi_set, dtype=complex)
-    if phis.ndim != 2 or phis.shape[1] != 2:
-        raise ValueError(f"phi_set must hold single-qubit states, got shape {phis.shape}")
-    norm2 = np.sum(np.abs(np.vstack([psi, phis])) ** 2, axis=-1)
-    bad = np.flatnonzero(~(np.abs(norm2 - 1.0) <= TRACE_TOL))  # NaN and inf fail too
-    if bad.size:
-        label = "psi" if bad[0] == 0 else f"phi_set[{bad[0] - 1}]"
-        raise ValueError(f"{label} must be a finite state of unit norm, "
-                         f"got squared norm {norm2[bad[0]]}")
-    moment = phis.T @ phis.conj()
-    v = u_t.reshape(u_t.shape[:-2] + (2, part.dim_b, 2, part.dim_b))
-    u_psi = np.einsum("...xyab,a->...xyb", v, psi)
-    k = np.einsum("...xyb,...zyjb->...jxz", u_psi, v.conj())
-    gram = np.einsum("...jxz,...kxz->...jk", k.conj(), k)
-    total = np.einsum("jk,...jk->...", moment, gram).real
-    return float_or_array(total / (len(phis) * part.dim * part.dim_b))
+    lead = u_t.shape[:-2]
+    v = u_t.reshape(lead + (2, part.dim_b, 2, part.dim_b))
+    # K_j[x, z] = sum_yb U[(x,y),(0,b)] conj(U[(z,y),(j,b)]); |0> is the a = 0 slice.
+    k = np.einsum("...xyb,...zyjb->...jxz", v[..., 0, :], v.conj())
+    total = frobenius_sq(k.reshape(lead + (2, 4)))
+    return float_or_array(total / (2 * part.dim * part.dim_b))
 
 
 def _unitary_supplier(h_or_unitary) -> Callable[[np.ndarray], ComplexMatrix]:
@@ -192,7 +151,8 @@ def bound_report(
     start at t = 0, so the averaged-OTOC baseline is its own first sample.
     Returns the channels keyed by their CSV column names: t, I, I2, Obar,
     deltaO, slack9 = I - deltaO, and deltaMO when ``include_modified`` is set;
-    deltaMO takes modified_otoc's defaults (O_1 = |0><phi|, six stabilizer phi).
+    deltaMO = 1 - M(t)/M(0) with M = modified_otoc (O_1 = |0><phi| on the
+    first qubit, averaged over the six stabilizer phi), so deltaMO(0) = 0.
     """
     cfg = cfg or OtocConfig()
     times = check_time_grid(times)
@@ -226,7 +186,7 @@ def bound_report(
         if cfg.expectation_state == "initial_state":
             obar[chunk] = _initial_state_otoc(part, u, initial)
         else:
-            obar[chunk] = averaged_otoc(part, u, cfg)
+            obar[chunk] = averaged_otoc(part, u)
         if mo is not None:
             mo[chunk] = modified_otoc(part, u)
     delta_obar = obar[0] - obar

@@ -119,6 +119,19 @@ def averaged_otoc_literal(n_a: int, n_b: int, u_t: np.ndarray, state=None) -> co
     return total / count
 
 
+def stabilizer_states() -> list[np.ndarray]:
+    """The six single-qubit stabilizer states (Z, X, Y eigenstates)."""
+    s = 1.0 / np.sqrt(2.0)
+    return [
+        np.array([1.0, 0.0], dtype=complex),
+        np.array([0.0, 1.0], dtype=complex),
+        np.array([s, s], dtype=complex),
+        np.array([s, -s], dtype=complex),
+        np.array([s, 1j * s], dtype=complex),
+        np.array([s, -1j * s], dtype=complex),
+    ]
+
+
 def modified_otoc_literal(n_b: int, u_t: np.ndarray, phi_set, psi: np.ndarray) -> float:
     """State-transfer OTOC averaged over phi and B-register Pauli strings."""
     d_b = 2**n_b

@@ -29,16 +29,17 @@ from scramble.liouville import build_liouvillian, mutual_information_rate
 from scramble.models import (
     SykConfig,
     build_syk_hamiltonian,
-    circuit_unitary_family,
+    realize_circuit,
     syk_couplings,
 )
 from scramble.qdense import (
     Bipartition,
-    evolve_unitary,
+    eigh,
     haar_state,
     random_density,
     random_hermitian,
     seeded_rng,
+    unitary_family,
 )
 from scramble.scrambling import averaged_otoc
 
@@ -170,19 +171,18 @@ def test_criterion_4_averaged_otoc_baseline_all_shipped_configs():
                 abs(
                     averaged_otoc(
                         cfg.partition,
-                        evolve_unitary(build_syk_hamiltonian(cfg.syk, k), 0.0),
-                        cfg.otoc,
+                        unitary_family(*eigh(build_syk_hamiltonian(cfg.syk, k)))(0.0),
                     )
                     - 1.0
                 )
                 for k in range(cfg.syk.realizations)
             )
         elif cfg.kind == "bound8":
-            u0 = evolve_unitary(cli._bound8_hamiltonian(cfg), 0.0)
-            worst[name] = abs(averaged_otoc(cfg.partition, u0, cfg.otoc) - 1.0)
+            u0 = unitary_family(*eigh(cli._bound8_hamiltonian(cfg)))(0.0)
+            worst[name] = abs(averaged_otoc(cfg.partition, u0) - 1.0)
         else:
-            u0 = circuit_unitary_family(cfg.circuit)(0.0)
-            worst[name] = abs(averaged_otoc(cfg.partition, u0, cfg.otoc) - 1.0)
+            u0 = realize_circuit(cfg.circuit, 0.0)
+            worst[name] = abs(averaged_otoc(cfg.partition, u0) - 1.0)
     assert worst
     assert max(worst.values()) <= 1e-12
     listing = ", ".join(f"{k} {v:.1e}" for k, v in sorted(worst.items()))

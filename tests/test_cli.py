@@ -4,6 +4,8 @@ import csv
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -254,7 +256,7 @@ def test_scramble_workers_env_must_be_integer(tmp_path, monkeypatch, capsys):
 
 
 def test_validate_ok(tmp_path, capsys):
-    cfg = base_circuit_config(tmp_path, workers=2)  # workers is a field of every kind
+    cfg = base_syk_config(tmp_path, workers=2)  # only SYK runs use a process pool
     assert cli.main(["validate", write_config(tmp_path, cfg)]) == 0
     assert "ok" in capsys.readouterr().out
 
@@ -285,6 +287,7 @@ def test_validate_reports_json_syntax_position(tmp_path, capsys):
         (lambda c: c.update(seed=-1), "seed: must be a non-negative integer"),
         (lambda c: c.pop("output"), "output"),
         (lambda c: c.update(workers=0), "workers"),
+        (lambda c: c.update(workers=2), "workers: unknown field"),
         (lambda c: c.update(otoc={"averaging": "quadrature"}), "otoc"),
         (lambda c: c.update(otoc={"samples": "many"}), "otoc.samples"),
         (lambda c: c.update(otoc={"averagign": "exact_enumeration"}), "otoc.averagign"),
@@ -351,6 +354,7 @@ def test_huge_integer_gate_angle_is_a_field_error(tmp_path, capsys):
         (lambda c: c["syk"].update(realisations=3), "syk.realisations: unknown field"),
         (lambda c: c.update(modified_otoc=True), "modified_otoc: unknown field"),
         (lambda c: c.update(model={"type": "random"}), "model: unknown field"),
+        (lambda c: c.update(workers=0), "workers: must be at least 1"),
     ],
 )
 def test_syk_config_validation_errors(tmp_path, capsys, mutate, needle):
@@ -398,6 +402,10 @@ def test_bound8_config_validation_errors(tmp_path, capsys):
     cfg["seed"], cfg["modified_otoc"] = 1, False
     assert cli.main(["validate", write_config(tmp_path, cfg, "c6.json")]) == 2
     assert "modified_otoc: unknown field" in capsys.readouterr().err
+    del cfg["modified_otoc"]
+    cfg["workers"] = 2
+    assert cli.main(["validate", write_config(tmp_path, cfg, "c7.json")]) == 2
+    assert "workers: unknown field" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n_a,n_b", [(1, 2), (2, 1), (2, 3)])
@@ -561,3 +569,12 @@ def test_library_value_error_exits_3_without_traceback(tmp_path, capsys):
     assert "Traceback" not in err
     assert not (tmp_path / "out" / "syk.csv").exists()
     assert not (tmp_path / "out" / "syk.json").exists()
+
+
+def test_import_loads_numpy_random():
+    # numpy loads numpy.random lazily; importing it with the package keeps
+    # that cost in start-up rather than in the first seeded run.
+    code = "import sys, scramble.cli; sys.exit('numpy.random' not in sys.modules)"
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

@@ -25,12 +25,13 @@ from scramble.liouville import (
 from scramble.qdense import (
     RANK_TOL,
     Bipartition,
-    evolve_unitary,
+    eigh,
     haar_unitary,
     partial_trace,
     random_density,
     random_hermitian,
     seeded_rng,
+    unitary_family,
 )
 
 
@@ -123,7 +124,7 @@ def test_mutual_information_rate_matches_finite_difference(seed):
         return mutual_information(u @ rho0 @ u.conj().T, part)
 
     t0 = 0.35
-    u0 = evolve_unitary(h, t0)
+    u0 = unitary_family(*eigh(h))(t0)
     rho_t = u0 @ rho0 @ u0.conj().T
     analytic = mutual_information_rate(h, rho_t, part)
     numeric = richardson_derivative(mi_at, t0, 1e-5)
@@ -318,7 +319,7 @@ def test_bound8_report_matches_pointwise_rates():
     rep = bound8_report(h, part, zero_state(2), times)
     np.testing.assert_array_equal(rep["t"], times)
     k = 3
-    u = evolve_unitary(h, times[k])
+    u = unitary_family(*eigh(h))(times[k])
     rates = entropy_production_rates(h, u @ initial @ u.conj().T, part)
     assert set(rep) == {"t", "I", "I2", "Obar", "deltaO", "slack9"} | set(rates)
     assert rep["Idot"][k] == pytest.approx(rates["Idot"], abs=1e-10)

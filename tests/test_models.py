@@ -21,7 +21,6 @@ from scramble.models import (
     SykConfig,
     average_reports,
     build_syk_hamiltonian,
-    circuit_unitary_family,
     entangler2_preset,
     realize_circuit,
     scrambler_preset,
@@ -275,9 +274,8 @@ def test_scaled_circuit_scales_angles_only():
 
 def test_circuit_family_endpoints():
     spec = scrambler_preset()
-    family = circuit_unitary_family(spec)
-    np.testing.assert_allclose(family(1.0), realize_circuit(spec), atol=1e-13)
-    u = family(0.37)
+    np.testing.assert_allclose(realize_circuit(spec, 1.0), realize_circuit(spec), atol=1e-13)
+    u = realize_circuit(spec, 0.37)
     np.testing.assert_allclose(u @ u.conj().T, np.eye(8), atol=1e-12)
 
 
@@ -286,7 +284,7 @@ def test_preset_circuits_start_unentangled():
     # product across every cut.
     for spec, n_a in ((scrambler_preset(), 1), (entangler2_preset(), 1)):
         part = Bipartition(n_a, spec.n_qubits - n_a)
-        u0 = circuit_unitary_family(spec)(0.0)
+        u0 = realize_circuit(spec, 0.0)
         psi = u0 @ np.eye(2**spec.n_qubits, dtype=complex)[:, 0]
         rho_a = partial_trace(np.outer(psi, psi.conj()), part, "A")
         assert np.trace(rho_a @ rho_a).real == pytest.approx(1.0, abs=1e-12)

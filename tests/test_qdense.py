@@ -12,7 +12,6 @@ from scramble.qdense import (
     check_density_matrix,
     clamp_spectrum,
     eigh,
-    evolve_unitary,
     haar_state,
     haar_unitary,
     kron_all,
@@ -20,6 +19,7 @@ from scramble.qdense import (
     random_density,
     random_hermitian,
     seeded_rng,
+    unitary_family,
 )
 
 
@@ -150,21 +150,20 @@ def test_eigh_phase_convention_is_deterministic():
 @pytest.mark.parametrize("t", [0.0, 0.3, 2.7, -1.1])
 def test_evolve_unitary_matches_expm(t):
     h = random_hermitian(8, seeded_rng(17))
-    u = evolve_unitary(h, t)
+    u = unitary_family(*eigh(h))(t)
     np.testing.assert_allclose(u, expm_unitary(h, t), atol=1e-11)
     np.testing.assert_allclose(u @ u.conj().T, np.eye(8), atol=1e-12)
 
 
 def test_evolve_unitary_at_zero_is_identity():
     h = random_hermitian(8, seeded_rng(19))
-    np.testing.assert_allclose(evolve_unitary(h, 0.0), np.eye(8), atol=1e-13)
+    np.testing.assert_allclose(unitary_family(*eigh(h))(0.0), np.eye(8), atol=1e-13)
 
 
 def test_evolve_unitary_group_property():
     h = random_hermitian(4, seeded_rng(23))
-    u1 = evolve_unitary(h, 0.4)
-    u2 = evolve_unitary(h, 0.9)
-    np.testing.assert_allclose(u1 @ u2, evolve_unitary(h, 1.3), atol=1e-12)
+    u_of_t = unitary_family(*eigh(h))
+    np.testing.assert_allclose(u_of_t(0.4) @ u_of_t(0.9), u_of_t(1.3), atol=1e-12)
 
 
 def test_seeded_rng_branches_are_independent_and_reproducible():

@@ -24,7 +24,7 @@ from scramble.qdense import (
     random_hermitian,
     seeded_rng,
 )
-from scramble.models import circuit_unitary_family, entangler2_preset
+from scramble.models import entangler2_preset, realize_circuit
 from scramble.scrambling import OtocConfig, bound_report
 
 PART = Bipartition(1, 1)
@@ -151,7 +151,7 @@ def test_each_state_is_validated_once(density_checks):
     initial = np.zeros((part.dim, part.dim), dtype=complex)
     initial[0, 0] = 1.0
     times = np.linspace(0.0, 1.0, 11)
-    bound_report(circuit_unitary_family(entangler2_preset()), part, initial, times,
+    bound_report(lambda t: realize_circuit(entangler2_preset(), t), part, initial, times,
                  OtocConfig(expectation_state="initial_state"))
     assert len(density_checks) == 1
 
