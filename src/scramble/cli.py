@@ -22,25 +22,17 @@ import numpy as np
 from . import __version__
 from .liouville import DEFAULT_DELTA, bound8_report
 from .models import (
+    MODEL_FIELDS,
     CircuitSpec,
     Gate,
     SykConfig,
+    bound8_hamiltonian,
     entangler2_preset,
     realize_circuit,
     scrambler_preset,
     syk_trajectory,
 )
-from .qdense import (
-    OBAR_T0_TOL,
-    RANK_TOL,
-    SIGMA_X,
-    SIGMA_Z,
-    SLACK_TOL,
-    Bipartition,
-    kron_all,
-    random_hermitian,
-    seeded_rng,
-)
+from .qdense import OBAR_T0_TOL, RANK_TOL, SLACK_TOL, Bipartition
 from .scrambling import OtocConfig, bound_report
 
 KINDS = ("syk", "circuit", "bound8")
@@ -51,8 +43,6 @@ COLUMNS = ("t", "I", "I2", "Obar", "deltaO", "deltaMO", "Idot", "SdotA", "SdotB"
 # Hamiltonian trajectory (bound8) slack9 is a diagnostic only.
 ASSERTED_SLACK = {"syk": "slack9", "circuit": "slack9", "bound8": "slack8"}
 BUILTIN_CIRCUITS = {"scrambler3": scrambler_preset, "entangler2": entangler2_preset}
-# bound8 model types and the defaults of their numeric fields.
-MODEL_FIELDS = {"random": {}, "ising_chain": {"j": 1.0, "hx": 0.7}}
 # Top-level config fields: those of every kind, then each kind's own.
 COMMON_FIELDS = ("kind", "partition", "time_grid", "otoc", "output", "seed")
 KIND_FIELDS = {"syk": ("syk", "workers"), "circuit": ("circuit", "modified_otoc"),
@@ -114,10 +104,14 @@ def _json_object(text: str) -> dict:
     return data
 
 
-def _read_text(path: str, missing: str) -> str:
-    _expect(os.path.isfile(path), missing)
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+def _read_text(path: str, what: str, shown: str) -> str:
+    """The UTF-8 text of a file; errors read "{what} not found: {shown}" and the like."""
+    _expect(os.path.isfile(path), f"{what} not found: {shown}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{what} not readable: {shown}: {exc}") from None
 
 
 def _matrix(rows, path: str) -> np.ndarray:
@@ -197,7 +191,7 @@ def _resolve_circuit(ref: str, base_dir: str) -> CircuitSpec:
         _expect(name in BUILTIN_CIRCUITS, f"circuit: unknown builtin {name!r}")
         return BUILTIN_CIRCUITS[name]()
     path = ref if os.path.isabs(ref) else os.path.join(base_dir, ref)
-    text = _read_text(path, f"circuit: file not found: {ref}")
+    text = _read_text(path, "circuit: file", ref)
     try:
         return parse_circuit_json(text)
     except ValueError as exc:
@@ -205,7 +199,7 @@ def _resolve_circuit(ref: str, base_dir: str) -> CircuitSpec:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    data = _json_object(_read_text(path, f"config file not found: {path}"))
+    data = _json_object(_read_text(path, "config file", path))
     kind = _field(data, "kind", str)
     _expect(kind in KINDS, f"kind: must be one of {list(KINDS)}")
     _known_fields(data, COMMON_FIELDS + KIND_FIELDS[kind])
@@ -256,7 +250,7 @@ def load_config(path: str) -> ExperimentConfig:
     elif kind == "bound8":
         block = _block(data.get("model"), "model")  # its fields depend on its type
         mtype = _field(block, "type", str, "model")
-        _expect(mtype in MODEL_FIELDS, "model.type: must be 'random' or 'ising_chain'")
+        _expect(mtype in MODEL_FIELDS, f"model.type: must be one of {list(MODEL_FIELDS)}")
         _known_fields(block, ("type", *MODEL_FIELDS[mtype]), "model")
         cfg.model = dict(block)
         for key, default in MODEL_FIELDS[mtype].items():
@@ -276,27 +270,6 @@ def _zero_state(n_qubits: int) -> np.ndarray:
     rho = np.zeros((d, d), dtype=complex)
     rho[0, 0] = 1.0
     return rho
-
-
-def _ising_chain(n_qubits: int, j: float, hx: float) -> np.ndarray:
-    d = 2**n_qubits
-    h = np.zeros((d, d), dtype=complex)
-    for i in range(n_qubits - 1):
-        factors = [np.eye(2)] * n_qubits
-        factors[i] = SIGMA_Z
-        factors[i + 1] = SIGMA_Z
-        h += j * kron_all(*factors)
-    for i in range(n_qubits):
-        factors = [np.eye(2)] * n_qubits
-        factors[i] = SIGMA_X
-        h += hx * kron_all(*factors)
-    return h
-
-
-def _bound8_hamiltonian(cfg: ExperimentConfig) -> np.ndarray:
-    if cfg.model["type"] == "random":
-        return random_hermitian(cfg.partition.dim, seeded_rng(cfg.seed, 8))
-    return _ising_chain(cfg.partition.n_qubits, cfg.model["j"], cfg.model["hx"])
 
 
 def _rewrite(path: str, text: str) -> None:
@@ -361,8 +334,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dict, str]:
         gap = np.abs(np.exp(-table["I2"]) - table["Obar"])
         summary["exp_neg_i2_vs_obar"] = {"max": float(gap.max()), "mean": float(gap.mean())}
     else:
-        table = bound8_report(_bound8_hamiltonian(cfg), cfg.partition, initial, cfg.times,
-                              cfg.delta, cfg.otoc)
+        h = bound8_hamiltonian(cfg.model, cfg.partition.n_qubits, cfg.seed)
+        table = bound8_report(h, cfg.partition, initial, cfg.times, cfg.delta, cfg.otoc)
         summary["model"] = cfg.model
         summary["delta"] = cfg.delta
 
@@ -403,13 +376,20 @@ def resolve_config_path(ref: str) -> str:
     raise ConfigError(f"config file not found: {ref}")
 
 
+def _config_error(exc: ConfigError) -> int:
+    print(f"config error: {exc}", file=sys.stderr)
+    return 2
+
+
 def cmd_run(ref: str) -> int:
     try:
         cfg = load_config(resolve_config_path(ref))
-        summary, csv_path = run_experiment(cfg)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        return _config_error(exc)
+    try:
+        summary, csv_path = run_experiment(cfg)
+    except ConfigError as exc:  # SCRAMBLE_WORKERS is read at run time
+        return _config_error(exc)
     except (AssertionViolation, ValueError) as exc:
         # A ValueError here is a library check failing mid-run (an imaginary
         # residue, say), before any CSV is written; an AssertionViolation
@@ -430,8 +410,7 @@ def cmd_validate(ref: str) -> int:
     try:
         load_config(resolve_config_path(ref))
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        return _config_error(exc)
     print("ok")
     return 0
 

@@ -1,6 +1,6 @@
 """Entropy and mutual-information functionals on density matrices and kets.
 
-All values are in nats. Spectra are clamped per qdense before logs, and
+All values are in nats. Spectrum entries <= 0 add nothing (0 ln 0 = 0), and
 round-off negatives above ENTROPY_FLOOR are clamped to +0.0 on output.
 
 The two mutual informations also accept a pure global state as a ket. For a
@@ -28,7 +28,6 @@ from .qdense import (
     DensityMatrix,
     as_complex_matrix,
     check_density_matrix,
-    clamp_spectrum,
     dagger,
     float_or_array,
     frobenius_sq,
@@ -52,8 +51,8 @@ def _check_state(rho: DensityMatrix, name: str) -> DensityMatrix:
 
 
 def _von_neumann(rho: DensityMatrix):
-    # Zero eigenvalues are replaced by 1, whose p ln p is exactly 0: no log of 0.
-    evals = clamp_spectrum(np.linalg.eigvalsh(rho))
+    # Eigenvalues <= 0 (round-off negatives too) become 1, whose p ln p is exactly 0.
+    evals = np.linalg.eigvalsh(rho)
     p = np.where(evals > 0.0, evals, 1.0)
     return _clamp_entropy(-np.sum(p * np.log(p), axis=-1), "von Neumann entropy")
 

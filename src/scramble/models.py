@@ -1,11 +1,11 @@
-"""Concrete scrambling dynamics: SYK Hamiltonians and circuit unitaries.
+"""Concrete scrambling dynamics: SYK and Ising-chain Hamiltonians, circuit unitaries.
 
-Jordan-Wigner Majoranas (psi^2 = I/2) multiply to Pauli strings with a phase,
-kept as bit masks, so the SYK Hamiltonian is filled entry by entry with no
-dense term. Couplings are i.i.d. Gaussians with variance J^2 (q-1)! / N^(q-1),
-drawn from a stream keyed by (seed, realization_index) and consumed in
-lexicographic index-tuple order, so disorder realizations are reproducible
-and mutually independent.
+The SYK and Ising-chain Hamiltonians are sums of Pauli strings kept as bit
+masks, filled entry by entry with no dense term. Jordan-Wigner Majoranas
+(psi^2 = I/2) multiply to such strings with a phase. SYK couplings are i.i.d.
+Gaussians with variance J^2 (q-1)! / N^(q-1), drawn from a stream keyed by
+(seed, realization_index) and consumed in lexicographic index-tuple order, so
+disorder realizations are reproducible and mutually independent.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .qdense import (
     Bipartition,
     ComplexMatrix,
     DensityMatrix,
+    random_hermitian,
     seeded_rng,
 )
 from .scrambling import OtocConfig, bound_report
@@ -95,18 +96,15 @@ def syk_couplings(cfg: SykConfig, realization_index: int) -> np.ndarray:
 _CHUNK_ENTRIES = 1 << 18
 
 
-def build_syk_hamiltonian(cfg: SykConfig, realization_index: int) -> ComplexMatrix:
-    """H = i^(q/2) sum_(i1<...<iq) J_(i1..iq) psi_i1 ... psi_iq.
+def _pauli_sum(n_qubits: int, x: np.ndarray, z: np.ndarray, values: np.ndarray) -> ComplexMatrix:
+    """H = sum_k values[k] X^x[k] Z^z[k], qubit 0 the most significant mask bit.
 
-    Term phase X^x Z^z maps |j> to phase (-1)^|j & z| |j ^ x>, so each term adds
-    J phase (-1)^|j & z| to H[j ^ x, j] for every basis index j. The parity of
+    X^x Z^z maps |j> to (-1)^|j & z| |j ^ x>, so term k adds values[k]
+    (-1)^|j & z[k]| to H[j ^ x[k], j] for every basis index j. The parity of
     |j & z| is taken by folding bits, as np.bitwise_count needs numpy 2. Terms
     are added in chunks, in term order, so H does not depend on the chunk size.
     """
-    couplings = syk_couplings(cfg, realization_index)
-    x, z, phase = _term_masks(cfg.n_majorana, cfg.q)
-    values = couplings * phase
-    j = np.arange(2**cfg.n_qubits, dtype=np.uint64)
+    j = np.arange(2**n_qubits, dtype=np.uint64)
     h = np.zeros((j.size, j.size), dtype=complex)
     step = max(1, _CHUNK_ENTRIES // j.size)
     for lo in range(0, values.size, step):
@@ -117,6 +115,33 @@ def build_syk_hamiltonian(cfg: SykConfig, realization_index: int) -> ComplexMatr
         signs = 1.0 - 2.0 * (v & np.uint64(1))  # float before subtracting: uint64 would wrap
         np.add.at(h, (j ^ x[terms, None], j), values[terms, None] * signs)
     return h
+
+
+def build_syk_hamiltonian(cfg: SykConfig, realization_index: int) -> ComplexMatrix:
+    """H = i^(q/2) sum_(i1<...<iq) J_(i1..iq) psi_i1 ... psi_iq."""
+    x, z, phase = _term_masks(cfg.n_majorana, cfg.q)
+    return _pauli_sum(cfg.n_qubits, x, z, syk_couplings(cfg, realization_index) * phase)
+
+
+def ising_chain(n_qubits: int, j: float, hx: float) -> ComplexMatrix:
+    """H = j sum_i Z_i Z_(i+1) + hx sum_i X_i on an open chain, ZZ terms first."""
+    bit = np.uint64(1) << np.arange(n_qubits - 1, -1, -1, dtype=np.uint64)
+    empty = np.zeros(n_qubits, dtype=np.uint64)
+    x = np.concatenate([empty[1:], bit])
+    z = np.concatenate([bit[:-1] | bit[1:], empty])
+    values = np.repeat([complex(j), complex(hx)], [n_qubits - 1, n_qubits])
+    return _pauli_sum(n_qubits, x, z, values)
+
+
+# bound8 model types and the defaults of their numeric fields.
+MODEL_FIELDS = {"random": {}, "ising_chain": {"j": 1.0, "hx": 0.7}}
+
+
+def bound8_hamiltonian(model: dict, n_qubits: int, seed: int) -> ComplexMatrix:
+    """The H of a bound8 model: ``model`` holds its type and every field of MODEL_FIELDS."""
+    if model["type"] == "random":
+        return random_hermitian(2**n_qubits, seeded_rng(seed, 8))
+    return ising_chain(n_qubits, model["j"], model["hx"])
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ OBAR_T0_TOL = 1e-12  # allowed |Obar(0) - 1|
 # stacks; one sample per chunk when a single sample is larger.
 _STACK_ENTRIES = 1 << 14
 
-# Single-qubit operator basis, reused across modules.
+# Single-qubit Pauli matrices.
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -158,20 +158,6 @@ def time_chunks(n: int, entries_per_sample: int) -> list[slice]:
     """Consecutive slices of range(n), each stacking at most _STACK_ENTRIES entries."""
     step = max(1, _STACK_ENTRIES // entries_per_sample)
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
-
-
-def clamp_spectrum(evals: np.ndarray) -> np.ndarray:
-    """Zero out round-off negatives in [EIGENVALUE_FLOOR, 0)."""
-    out = np.array(evals, dtype=float)
-    out[(out >= EIGENVALUE_FLOOR) & (out < 0.0)] = 0.0
-    return out
-
-
-def kron_all(*factors: ComplexMatrix) -> ComplexMatrix:
-    out = np.asarray(factors[0], dtype=complex)
-    for f in factors[1:]:
-        out = np.kron(out, np.asarray(f, dtype=complex))
-    return out
 
 
 def partial_trace(rho: DensityMatrix, part: Bipartition, keep: str) -> DensityMatrix:

@@ -28,6 +28,7 @@ from scramble.entropy import mutual_information, renyi2_mutual_information
 from scramble.liouville import build_liouvillian, mutual_information_rate
 from scramble.models import (
     SykConfig,
+    bound8_hamiltonian,
     build_syk_hamiltonian,
     realize_circuit,
     syk_couplings,
@@ -178,7 +179,8 @@ def test_criterion_4_averaged_otoc_baseline_all_shipped_configs():
                 for k in range(cfg.syk.realizations)
             )
         elif cfg.kind == "bound8":
-            u0 = unitary_family(*eigh(cli._bound8_hamiltonian(cfg)))(0.0)
+            h = bound8_hamiltonian(cfg.model, cfg.partition.n_qubits, cfg.seed)
+            u0 = unitary_family(*eigh(h))(0.0)
             worst[name] = abs(averaged_otoc(cfg.partition, u0) - 1.0)
         else:
             u0 = realize_circuit(cfg.circuit, 0.0)

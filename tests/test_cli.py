@@ -435,6 +435,26 @@ def test_missing_config_file(capsys):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("bad_file", ["config", "gate_list"])
+def test_file_that_is_not_utf8_is_a_config_error(tmp_path, command, bad_file):
+    path = tmp_path / "c.json"
+    if bad_file == "config":
+        needle = "config error: config file not readable: "
+        path.write_bytes(b"\xff\xfe" + json.dumps(base_circuit_config(tmp_path)).encode())
+    else:
+        needle = "config error: circuit: file not readable: gates.json: "
+        (tmp_path / "gates.json").write_bytes(b"\xff")
+        path.write_text(json.dumps(base_circuit_config(tmp_path, circuit="gates.json")))
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "scramble.cli", command, str(path)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert needle in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 # --- presets ---------------------------------------------------------------------
 
 

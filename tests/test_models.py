@@ -1,7 +1,8 @@
-"""Disorder models and circuit construction."""
+"""Disorder models, the Ising chain and circuit construction."""
 
 import json
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -22,12 +23,13 @@ from scramble.models import (
     average_reports,
     build_syk_hamiltonian,
     entangler2_preset,
+    ising_chain,
     realize_circuit,
     scrambler_preset,
     syk_couplings,
     syk_trajectory,
 )
-from scramble.qdense import Bipartition, haar_state, kron_all, partial_trace, seeded_rng
+from scramble.qdense import Bipartition, haar_state, partial_trace, seeded_rng
 from scramble.scrambling import OtocConfig
 
 
@@ -125,7 +127,7 @@ def test_syk_hamiltonian_structure():
     h = build_syk_hamiltonian(cfg, 0)
     np.testing.assert_allclose(h, h.conj().T, atol=1e-12)
     assert abs(np.trace(h)) < 1e-12
-    parity = kron_all(*([np.diag([1.0, -1.0]).astype(complex)] * cfg.n_qubits))
+    parity = reduce(np.kron, [np.diag([1.0, -1.0]).astype(complex)] * cfg.n_qubits)
     np.testing.assert_allclose(h @ parity, parity @ h, atol=1e-12)
     np.testing.assert_array_equal(h, build_syk_hamiltonian(cfg, 0))
 
@@ -158,6 +160,32 @@ def test_syk_hamiltonian_is_bitwise_independent_of_chunking(monkeypatch, chunk_e
     whole = build_syk_hamiltonian(cfg, 2)
     monkeypatch.setattr(models, "_CHUNK_ENTRIES", chunk_entries)
     assert build_syk_hamiltonian(cfg, 2).tobytes() == whole.tobytes()
+
+
+# --- Transverse-field Ising chain ---
+
+
+def _ising_kron_form(n_qubits, j, hx):
+    """Sum of dense Pauli-string products: the ZZ bonds in chain order, then the X fields."""
+    h = np.zeros((2**n_qubits, 2**n_qubits), dtype=complex)
+    for i in range(n_qubits - 1):
+        h += j * kron_chain("I" * i + "ZZ" + "I" * (n_qubits - i - 2))
+    for i in range(n_qubits):
+        h += hx * kron_chain("I" * i + "X" + "I" * (n_qubits - i - 1))
+    return h
+
+
+@pytest.mark.parametrize("n_qubits", range(2, 9))
+@pytest.mark.parametrize("j,hx", [(1.0, 0.7), (0.9, 0.6)])
+def test_ising_chain_matches_kron_form(n_qubits, j, hx):
+    assert ising_chain(n_qubits, j, hx).tobytes() == _ising_kron_form(n_qubits, j, hx).tobytes()
+
+
+def test_ising_chain_is_bitwise_independent_of_chunking(monkeypatch):
+    # 5 qubits: 9 terms in one chunk by default, one term per chunk here.
+    whole = ising_chain(5, 0.9, 0.6)
+    monkeypatch.setattr(models, "_CHUNK_ENTRIES", 1)
+    assert ising_chain(5, 0.9, 0.6).tobytes() == whole.tobytes()
 
 
 def test_syk_term_monomials_are_orthogonal():
@@ -222,7 +250,7 @@ def test_embed_gate_single_qubit_positions():
         factors = [np.eye(2, dtype=complex)] * 3
         factors[pos] = g
         u = realize_circuit(CircuitSpec(3, [Gate("RX", (pos,), angle=0.7)]))
-        np.testing.assert_allclose(u, kron_all(*factors), atol=1e-13)
+        np.testing.assert_allclose(u, reduce(np.kron, factors), atol=1e-13)
 
 
 def cnot_oracle(control: int, target: int, n: int) -> np.ndarray:

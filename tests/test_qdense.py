@@ -2,19 +2,15 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from _oracles import expm_unitary, schmidt_marginals
 from scramble.qdense import (
     Bipartition,
     as_complex_matrix,
     check_density_matrix,
-    clamp_spectrum,
     eigh,
     haar_state,
     haar_unitary,
-    kron_all,
     partial_trace,
     random_density,
     random_hermitian,
@@ -68,13 +64,6 @@ def test_check_density_matrix_rejects_negative_eigenvalue():
         check_density_matrix(rho)
 
 
-def test_clamp_spectrum_zeroes_roundoff_negatives_only():
-    out = clamp_spectrum(np.array([1.0, -1e-14]))
-    assert out.min() == 0.0
-    untouched = clamp_spectrum(np.array([1.0, -1e-6]))
-    assert untouched.min() == -1e-6
-
-
 @pytest.mark.parametrize("n_a,n_b", [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3)])
 def test_partial_trace_matches_schmidt_marginals(n_a, n_b):
     part = Bipartition(n_a, n_b)
@@ -90,7 +79,7 @@ def test_partial_trace_of_product_state():
     rng = seeded_rng(3)
     rho_a = random_density(2, rng)
     rho_b = random_density(4, rng)
-    rho = kron_all(rho_a, rho_b)
+    rho = np.kron(rho_a, rho_b)
     np.testing.assert_allclose(partial_trace(rho, part, "A"), rho_a, atol=1e-13)
     np.testing.assert_allclose(partial_trace(rho, part, "B"), rho_b, atol=1e-13)
 
@@ -101,31 +90,6 @@ def test_partial_trace_preserves_trace_and_rejects_bad_keep():
     assert np.trace(partial_trace(rho, part, "B")) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         partial_trace(rho, part, "c")
-
-
-def test_kron_all_matches_numpy():
-    rng = seeded_rng(9)
-    mats = [random_hermitian(2, rng) for _ in range(3)]
-    ref = np.kron(np.kron(mats[0], mats[1]), mats[2])
-    np.testing.assert_allclose(kron_all(*mats), ref, atol=1e-13)
-
-
-finite = st.floats(min_value=-5, max_value=5, allow_nan=False, width=32)
-
-
-@st.composite
-def small_complex_matrix(draw, d=2):
-    re = draw(st.lists(finite, min_size=d * d, max_size=d * d))
-    im = draw(st.lists(finite, min_size=d * d, max_size=d * d))
-    return (np.array(re) + 1j * np.array(im)).reshape(d, d)
-
-
-@settings(max_examples=50, deadline=None)
-@given(small_complex_matrix(), small_complex_matrix(), small_complex_matrix(), small_complex_matrix())
-def test_kron_mixed_product_property(a, b, c, d):
-    left = kron_all(a, b) @ kron_all(c, d)
-    right = kron_all(a @ c, b @ d)
-    np.testing.assert_allclose(left, right, atol=1e-9)
 
 
 def test_eigh_reconstructs_and_sorts():

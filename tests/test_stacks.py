@@ -55,7 +55,7 @@ def test_qdense_stacks_match_slices():
     _close(vecs, [eigh(h)[1] for h in hs])
 
 
-def test_evolve_unitary_broadcasts_over_times():
+def test_unitary_family_broadcasts_over_times():
     h = random_hermitian(8, seeded_rng(1301))
     u_of_t = unitary_family(*eigh(h))
     stack = u_of_t(TIMES)
