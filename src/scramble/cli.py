@@ -33,7 +33,7 @@ from .models import (
     syk_trajectory,
 )
 from .qdense import OBAR_T0_TOL, RANK_TOL, SLACK_TOL, Bipartition
-from .scrambling import OtocConfig, bound_report
+from .scrambling import bound_report
 
 KINDS = ("syk", "circuit", "bound8")
 # CSV columns in file order; a run writes those its channel table holds.
@@ -44,7 +44,7 @@ COLUMNS = ("t", "I", "I2", "Obar", "deltaO", "deltaMO", "Idot", "SdotA", "SdotB"
 ASSERTED_SLACK = {"syk": "slack9", "circuit": "slack9", "bound8": "slack8"}
 BUILTIN_CIRCUITS = {"scrambler3": scrambler_preset, "entangler2": entangler2_preset}
 # Top-level config fields: those of every kind, then each kind's own.
-COMMON_FIELDS = ("kind", "partition", "time_grid", "otoc", "output", "seed")
+COMMON_FIELDS = ("kind", "partition", "time_grid", "output", "seed")
 KIND_FIELDS = {"syk": ("syk", "workers"), "circuit": ("circuit", "modified_otoc"),
                "bound8": ("model", "delta")}
 
@@ -152,7 +152,6 @@ class ExperimentConfig:
     kind: str
     partition: Bipartition
     times: np.ndarray
-    otoc: OtocConfig
     output: str
     seed: int
     raw: dict
@@ -173,16 +172,6 @@ def _parse_time_grid(data: dict) -> np.ndarray:
     _expect(samples >= 2, "time_grid.samples: need at least 2 samples")
     _expect(stop > start, "time_grid.stop: grid must be strictly increasing")
     return np.linspace(start, stop, samples)
-
-
-def _parse_otoc(data: dict) -> OtocConfig:
-    block = _block(data.get("otoc", {}), "otoc", ("expectation_state",))
-    kwargs = {key: _field(block, key, str, "otoc") for key in block}
-    try:
-        return OtocConfig(**kwargs)
-    except ValueError as exc:
-        # OtocConfig messages start with the offending field's name.
-        raise ConfigError(f"otoc.{exc}") from None
 
 
 def _resolve_circuit(ref: str, base_dir: str) -> CircuitSpec:
@@ -212,13 +201,11 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"partition: {exc}") from None
 
     times = _parse_time_grid(data)
-    otoc = _parse_otoc(data)
     output = _field(data, "output", str)
     seed = _field(data, "seed", int)
     _expect(seed >= 0, "seed: must be a non-negative integer")
     cfg = ExperimentConfig(
-        kind=kind, partition=partition, times=times, otoc=otoc,
-        output=output, seed=seed, raw=data,
+        kind=kind, partition=partition, times=times, output=output, seed=seed, raw=data,
     )
     base_dir = os.path.dirname(os.path.abspath(path))
 
@@ -321,7 +308,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dict, str]:
                 raise ConfigError(f"SCRAMBLE_WORKERS: not an integer: {env!r}") from None
             _expect(workers >= 1, "SCRAMBLE_WORKERS: must be at least 1")
         reports, table = syk_trajectory(cfg.syk, cfg.partition, initial, cfg.times,
-                                        otoc_cfg=cfg.otoc, workers=workers)
+                                        workers=workers)
         summary["seeds"]["disorder_streams"] = "(base, realization_index)"
         summary["workers"] = workers
         summary["violations"]["per_realization_slack9"] = int(
@@ -329,13 +316,13 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dict, str]:
         )
     elif cfg.kind == "circuit":
         table = bound_report(lambda t: realize_circuit(cfg.circuit, t), cfg.partition,
-                             initial, cfg.times, cfg=cfg.otoc, include_modified=cfg.modified)
+                             initial, cfg.times, include_modified=cfg.modified)
         summary["circuit"] = cfg.raw["circuit"]
         gap = np.abs(np.exp(-table["I2"]) - table["Obar"])
         summary["exp_neg_i2_vs_obar"] = {"max": float(gap.max()), "mean": float(gap.mean())}
     else:
         h = bound8_hamiltonian(cfg.model, cfg.partition.n_qubits, cfg.seed)
-        table = bound8_report(h, cfg.partition, initial, cfg.times, cfg.delta, cfg.otoc)
+        table = bound8_report(h, cfg.partition, initial, cfg.times, cfg.delta)
         summary["model"] = cfg.model
         summary["delta"] = cfg.delta
 

@@ -30,7 +30,7 @@ from .qdense import (
     time_chunks,
     unitary_family,
 )
-from .scrambling import OtocConfig, bound_report
+from .scrambling import bound_report
 
 DEFAULT_DELTA = 1e-6
 
@@ -228,7 +228,6 @@ def bound8_report(
     initial: DensityMatrix,
     times: Sequence[float],
     delta: float = DEFAULT_DELTA,
-    cfg: OtocConfig | None = None,
 ) -> dict[str, np.ndarray]:
     """Both bounds along exp(-iHt), from one eigensystem of H.
 
@@ -249,5 +248,5 @@ def bound8_report(
         rates.append(entropy_production_rates(h, u @ rho_0 @ dagger(u), part))
         return u
 
-    table = bound_report(u_of_t, part, initial, times, cfg)
+    table = bound_report(u_of_t, part, initial, times)
     return {**table, **{k: np.concatenate([r[k] for r in rates]) for k in rates[0]}}

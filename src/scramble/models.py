@@ -30,7 +30,7 @@ from .qdense import (
     random_hermitian,
     seeded_rng,
 )
-from .scrambling import OtocConfig, bound_report
+from .scrambling import bound_report
 
 
 @dataclass
@@ -311,9 +311,9 @@ def entangler2_preset() -> CircuitSpec:
 
 
 def _syk_realization(args) -> dict[str, np.ndarray]:
-    cfg, part, initial, times, otoc_cfg, k = args
+    cfg, part, initial, times, k = args
     h = build_syk_hamiltonian(cfg, k)
-    return bound_report(h, part, initial, times, otoc_cfg)
+    return bound_report(h, part, initial, times)
 
 
 def average_reports(reports: Sequence[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
@@ -329,7 +329,6 @@ def syk_trajectory(
     part: Bipartition,
     initial: DensityMatrix,
     times: Sequence[float],
-    otoc_cfg: OtocConfig | None = None,
     workers: int = 1,
 ) -> tuple[list[dict[str, np.ndarray]], dict[str, np.ndarray]]:
     """Per-realization channel tables on the grid ``times``, plus their average.
@@ -341,8 +340,7 @@ def syk_trajectory(
     """
     if part.dim != 2**cfg.n_qubits:
         raise ValueError("partition does not match the SYK register size")
-    otoc_cfg = otoc_cfg or OtocConfig()
-    jobs = [(cfg, part, initial, times, otoc_cfg, k) for k in range(cfg.realizations)]
+    jobs = [(cfg, part, initial, times, k) for k in range(cfg.realizations)]
     workers = min(workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -210,28 +210,6 @@ def seeded_rng(seed: int, *branch: int) -> Generator:
     return Generator(PCG64(SeedSequence((seed, *branch))))
 
 
-def haar_unitary(d: int, rng: Generator) -> ComplexMatrix:
-    """Haar-distributed unitary via QR with the R-diagonal phase fix."""
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))[np.newaxis, :]
-
-
-def haar_state(d: int, rng: Generator) -> np.ndarray:
-    """Haar-random pure state vector."""
-    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return v / np.linalg.norm(v)
-
-
-def random_density(d: int, rng: Generator, rank: int | None = None) -> DensityMatrix:
-    """Random mixed state: normalized Wishart of the given rank (default full)."""
-    k = d if rank is None else rank
-    g = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
-    rho = g @ g.conj().T
-    return rho / rho.trace().real
-
-
 def random_hermitian(d: int, rng: Generator) -> ComplexMatrix:
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return (g + g.conj().T) / 2.0

@@ -12,22 +12,20 @@ A|B cut (Zanardi, PRA 63, 040304 (2001); Styliaris, Anand & Zanardi, PRL 126,
 
     Obar = |Y Y^dag|_F^2 / d^2,
 
-one minus the linear operator entanglement of U. The initial-state
-expectation and the modified OTOC follow from the same identity. No string
-is ever enumerated; the literal double sum over every (A-string, B-string)
-pair stays in tests/_oracles.py as the independent oracle.
+one minus the linear operator entanglement of U. The modified OTOC follows
+from the same identity. No string is ever enumerated; the literal double sum
+over every (A-string, B-string) pair stays in tests/_oracles.py as the
+independent oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .entropy import mutual_information, purity, renyi2_mutual_information
 from .qdense import (
-    IMAG_TOL,
     PURITY_TOL,
     Bipartition,
     ComplexMatrix,
@@ -46,30 +44,13 @@ from .qdense import (
 )
 
 
-@dataclass(frozen=True)
-class OtocConfig:
-    """Expectation-state choice for operator-averaged OTOCs."""
-
-    expectation_state: str = "maximally_mixed"
-
-    def __post_init__(self):
-        if self.expectation_state not in ("maximally_mixed", "initial_state"):
-            raise ValueError(f"expectation_state: unknown value {self.expectation_state!r}")
-
-
-def averaged_otoc(part: Bipartition, u_t: ComplexMatrix, state: DensityMatrix | None = None):
+def averaged_otoc(part: Bipartition, u_t: ComplexMatrix):
     """Pauli-group average of <O_A O_B(t) O_A O_B(t)>; equals 1 at t = 0.
 
-    ``u_t`` is one (d, d) unitary, giving a float, or a (T, d, d) stack,
-    giving a (T,) array. ``state`` is the expectation state; None means the
-    maximally mixed state.
+    The expectation state is the maximally mixed one. ``u_t`` is one (d, d)
+    unitary, giving a float, or a (T, d, d) stack, giving a (T,) array.
     """
     u_t = _unitary_stack(part, u_t)
-    if state is not None:
-        state = check_density_matrix(state)
-        if state.shape != (part.dim, part.dim):
-            raise ValueError("expectation state dimension does not match partition")
-        return _initial_state_otoc(part, u_t, state)
     d_a, d_b = part.dim_a, part.dim_b
     lead = u_t.shape[:-2]
     y = u_t.reshape(lead + (d_a, d_b, d_a, d_b)).swapaxes(-3, -2)
@@ -84,21 +65,6 @@ def _unitary_stack(part: Bipartition, u_t) -> ComplexMatrix:
     if u_t.ndim > 3 or u_t.shape[-2:] != (part.dim, part.dim):
         raise ValueError(f"unitary shape {u_t.shape} does not match partition dim {part.dim}")
     return u_t
-
-
-def _initial_state_otoc(part: Bipartition, u_t: ComplexMatrix, state: DensityMatrix):
-    d_a, d_b = part.dim_a, part.dim_b
-    # The identity applied to both string sums: two contractions of U with U^dag.
-    shape = u_t.shape[:-2] + (d_a, d_b, d_a, d_b)
-    v = u_t.reshape(shape)
-    r = (u_t @ state).reshape(shape)
-    s1 = np.einsum("...xyab,...zycb->...xazc", r, v.conj())
-    s2 = np.einsum("...xyab,...zycb->...xazc", v, v.conj())
-    mean = np.einsum("...xazc,...zcxa->...", s1, s2) / part.dim
-    residue = np.abs(mean.imag).max()
-    if residue > IMAG_TOL:
-        raise ValueError(f"averaged OTOC imaginary residue {residue:.3e} exceeds tolerance")
-    return float_or_array(mean.real)
 
 
 def modified_otoc(part: Bipartition, u_t: ComplexMatrix):
@@ -140,7 +106,6 @@ def bound_report(
     part: Bipartition,
     initial: DensityMatrix,
     times: Sequence[float],
-    cfg: OtocConfig | None = None,
     include_modified: bool = False,
 ) -> dict[str, np.ndarray]:
     """Evolve a pure product state as a ket and sample every bound-9 channel.
@@ -154,7 +119,6 @@ def bound_report(
     deltaMO = 1 - M(t)/M(0) with M = modified_otoc (O_1 = |0><phi| on the
     first qubit, averaged over the six stabilizer phi), so deltaMO(0) = 0.
     """
-    cfg = cfg or OtocConfig()
     times = check_time_grid(times)
     if times[0] != 0.0:
         raise ValueError("time grid must start at t = 0")
@@ -183,10 +147,7 @@ def bound_report(
         kets = (u @ psi_0).reshape(-1, part.dim_a, part.dim_b)
         mi[chunk] = mutual_information(kets, part)
         mi2[chunk] = renyi2_mutual_information(kets, part)
-        if cfg.expectation_state == "initial_state":
-            obar[chunk] = _initial_state_otoc(part, u, initial)
-        else:
-            obar[chunk] = averaged_otoc(part, u)
+        obar[chunk] = averaged_otoc(part, u)
         if mo is not None:
             mo[chunk] = modified_otoc(part, u)
     delta_obar = obar[0] - obar

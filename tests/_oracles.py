@@ -5,7 +5,9 @@ loops and np.kron, sharing no code paths with the package internals. The
 exceptions are instantaneous_basis and entropy_production_rates_literal: the
 rate channels depend on the eigenvectors chosen inside degenerate marginal
 eigenspaces, so both take the package's marginal eigensystems as given, and
-the rate oracle also takes the package's mutual-information rate.
+the rate oracle also takes the package's mutual-information rate. The random
+samplers the tests draw from (Haar unitaries and kets, Wishart densities) live
+here too; no program code uses them.
 """
 
 from __future__ import annotations
@@ -28,6 +30,28 @@ PAULIS = {
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+
+
+def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed unitary via QR with the R-diagonal phase fix."""
+    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r)
+    return q * (diag / np.abs(diag))[np.newaxis, :]
+
+
+def haar_state(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random pure state vector."""
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return v / np.linalg.norm(v)
+
+
+def random_density(d: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
+    """Random mixed state: normalized Wishart of the given rank (default full)."""
+    k = d if rank is None else rank
+    g = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
+    rho = g @ g.conj().T
+    return rho / rho.trace().real
 
 
 def kron_chain(labels: str) -> np.ndarray:

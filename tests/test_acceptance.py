@@ -19,7 +19,9 @@ import pytest
 from _oracles import (
     central_difference,
     expm_unitary,
+    haar_state,
     jordan_wigner_majorana,
+    random_density,
     richardson_derivative,
     syk_hamiltonian_literal,
 )
@@ -36,8 +38,6 @@ from scramble.models import (
 from scramble.qdense import (
     Bipartition,
     eigh,
-    haar_state,
-    random_density,
     random_hermitian,
     seeded_rng,
     unitary_family,

@@ -288,12 +288,8 @@ def test_validate_reports_json_syntax_position(tmp_path, capsys):
         (lambda c: c.pop("output"), "output"),
         (lambda c: c.update(workers=0), "workers"),
         (lambda c: c.update(workers=2), "workers: unknown field"),
-        (lambda c: c.update(otoc={"averaging": "quadrature"}), "otoc"),
-        (lambda c: c.update(otoc={"samples": "many"}), "otoc.samples"),
-        (lambda c: c.update(otoc={"averagign": "exact_enumeration"}), "otoc.averagign"),
-        (lambda c: c.update(otoc={"averaging": "monte_carlo"}), "otoc.averaging"),
-        (lambda c: c.update(otoc={"averaging": "exact_enumeration"}),
-         "otoc.averaging: unknown field"),
+        (lambda c: c.update(otoc={"expectation_state": "maximally_mixed"}),
+         "otoc: unknown field"),
         (lambda c: c.update(modified_otoc="yes"), "modified_otoc"),
         (lambda c: c.pop("circuit"), "circuit"),
         (lambda c: c.update(circuit="builtin:teleporter"), "builtin"),
@@ -304,7 +300,6 @@ def test_validate_reports_json_syntax_position(tmp_path, capsys):
         (lambda c: c["partition"].update(n_c=1), "partition.n_c: unknown field"),
         (lambda c: c["time_grid"].update(step=0.1), "time_grid.step: unknown field"),
         (lambda c: c.update(partition=[1, 4]), "partition: missing or not an object"),
-        (lambda c: c.update(otoc="x"), "otoc: missing or not an object"),
     ],
 )
 def test_circuit_config_validation_errors(tmp_path, capsys, mutate, needle):
@@ -575,17 +570,20 @@ def test_bound8_run_diagonalizes_h_once(tmp_path, monkeypatch):
     assert shapes.count((d, d)) == 1
 
 
-def test_library_value_error_exits_3_without_traceback(tmp_path, capsys):
+def test_library_value_error_exits_3_without_traceback(tmp_path, capsys, monkeypatch):
     # A good run first leaves a CSV and a summary at the same output.
     assert cli.main(["run", write_config(tmp_path, base_syk_config(tmp_path))]) == 0
     assert (tmp_path / "out" / "syk.csv").exists()
-    # The initial-state OTOC average on SYK dynamics keeps an imaginary
-    # residue, which the library refuses mid-run: neither output of the
-    # earlier run may stay behind to pass for this run's.
-    cfg = base_syk_config(tmp_path, seed=1, otoc={"expectation_state": "initial_state"})
+    # A library ValueError mid-run: neither output of the earlier run may
+    # stay behind to pass for this run's.
+    def refuse(part, u_t):
+        raise ValueError("averaged OTOC refused mid-run")
+
+    monkeypatch.setattr(scrambling, "averaged_otoc", refuse)
+    cfg = base_syk_config(tmp_path, seed=1)
     assert cli.main(["run", write_config(tmp_path, cfg)]) == 3
     err = capsys.readouterr().err
-    assert "assertion violation" in err and "imaginary residue" in err
+    assert "assertion violation" in err and "refused mid-run" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out" / "syk.csv").exists()
     assert not (tmp_path / "out" / "syk.json").exists()

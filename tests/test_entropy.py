@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import entropy_from_probs, kron, schmidt_marginals
+from _oracles import (
+    entropy_from_probs,
+    haar_state,
+    haar_unitary,
+    kron,
+    random_density,
+    schmidt_marginals,
+)
 from scramble import entropy, scrambling
 from scramble.entropy import (
     mutual_information,
@@ -16,9 +23,6 @@ from scramble.entropy import (
 )
 from scramble.qdense import (
     Bipartition,
-    haar_state,
-    haar_unitary,
-    random_density,
     random_hermitian,
     seeded_rng,
     time_chunks,

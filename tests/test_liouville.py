@@ -8,8 +8,10 @@ import pytest
 from _oracles import (
     entropy_production_rates_literal,
     expm_unitary,
+    haar_unitary,
     instantaneous_basis,
     kron,
+    random_density,
     richardson_derivative,
 )
 from scramble import liouville
@@ -26,9 +28,7 @@ from scramble.qdense import (
     RANK_TOL,
     Bipartition,
     eigh,
-    haar_unitary,
     partial_trace,
-    random_density,
     random_hermitian,
     seeded_rng,
     unitary_family,

@@ -10,6 +10,7 @@ import pytest
 from _oracles import (
     apply_gate_to_state,
     expm_unitary,
+    haar_state,
     jordan_wigner_majorana,
     kron_chain,
     syk_hamiltonian_literal,
@@ -29,8 +30,7 @@ from scramble.models import (
     syk_couplings,
     syk_trajectory,
 )
-from scramble.qdense import Bipartition, haar_state, partial_trace, seeded_rng
-from scramble.scrambling import OtocConfig
+from scramble.qdense import Bipartition, partial_trace, seeded_rng
 
 
 # --- Jordan-Wigner Majoranas (the oracle the SYK build is checked against) ---
@@ -519,15 +519,3 @@ def test_syk_trajectory_partition_mismatch():
     with pytest.raises(ValueError):
         syk_trajectory(cfg, Bipartition(1, 1), zero_state(2), SYK_TIMES)
 
-
-def test_syk_trajectory_honors_otoc_config():
-    # The default expectation state averages cleanly; the initial-state
-    # expectation on SYK dynamics leaves a complex average, so the error can
-    # only come from the otoc_cfg reaching the realizations.
-    cfg = syk_config(realizations=1)
-    part = Bipartition(1, 2)
-    syk_trajectory(cfg, part, zero_state(3), SYK_TIMES)
-    with pytest.raises(ValueError, match="imaginary residue"):
-        syk_trajectory(
-            cfg, part, zero_state(3), SYK_TIMES, OtocConfig(expectation_state="initial_state")
-        )

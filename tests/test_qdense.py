@@ -3,16 +3,13 @@
 import numpy as np
 import pytest
 
-from _oracles import expm_unitary, schmidt_marginals
+from _oracles import expm_unitary, haar_state, haar_unitary, random_density, schmidt_marginals
 from scramble.qdense import (
     Bipartition,
     as_complex_matrix,
     check_density_matrix,
     eigh,
-    haar_state,
-    haar_unitary,
     partial_trace,
-    random_density,
     random_hermitian,
     seeded_rng,
     unitary_family,

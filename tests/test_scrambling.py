@@ -5,6 +5,7 @@ import pytest
 
 from _oracles import (
     averaged_otoc_literal,
+    haar_unitary,
     modified_otoc_literal,
     otoc,
     stabilizer_states,
@@ -15,25 +16,14 @@ from scramble.qdense import (
     SLACK_TOL,
     Bipartition,
     eigh,
-    haar_unitary,
     random_hermitian,
     seeded_rng,
     unitary_family,
 )
-from scramble.scrambling import (
-    OtocConfig,
-    averaged_otoc,
-    bound_report,
-    modified_otoc,
-)
+from scramble.scrambling import averaged_otoc, bound_report, modified_otoc
 
 ZZ = np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-
-
-def test_otoc_config_validation():
-    with pytest.raises(ValueError, match="expectation_state"):
-        OtocConfig(expectation_state="thermal")
 
 
 @pytest.mark.parametrize("t", [0.0, 0.15, 0.3, 0.8, 1.7])
@@ -79,26 +69,16 @@ def test_averaged_otoc_is_one_at_time_zero(n_a, n_b):
     assert abs(averaged_otoc(part, u0) - 1.0) < 1e-12
 
 
-def test_averaged_otoc_initial_state_diagonal_case():
-    # A diagonal expectation state with <ZZ> = 0 keeps the average real; the
-    # twirled fast path must then agree with the literal double sum.
+def test_averaged_otoc_in_a_pure_state_is_complex():
+    # Why the maximally mixed state is the only expectation state: in |00><00|
+    # the Pauli average under H = Z x Z is genuinely complex, while its real
+    # part is the maximally mixed average.
     part = Bipartition(1, 1)
-    rho0 = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
-    for t in (0.0, 0.3, 0.9):
-        u = unitary_family(*eigh(ZZ))(t)
-        literal = averaged_otoc_literal(1, 1, u, rho0)
-        assert abs(literal.imag) < 1e-12
-        assert averaged_otoc(part, u, rho0) == pytest.approx(literal.real, abs=1e-12)
-
-
-def test_averaged_otoc_initial_state_raises_on_complex_residue():
-    # Generic states leave a genuinely complex average; the contract is a
-    # loud error rather than a silently dropped imaginary part.
-    part = Bipartition(1, 1)
-    rho0 = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
     u = unitary_family(*eigh(ZZ))(0.3)
-    with pytest.raises(ValueError, match="imaginary residue"):
-        averaged_otoc(part, u, rho0)
+    pure = averaged_otoc_literal(1, 1, u, np.diag([1.0, 0.0, 0.0, 0.0]))
+    assert abs(pure.imag) > 0.1
+    assert pure.real == pytest.approx(two_qubit_zz_averaged_otoc(0.3), abs=1e-12)
+    assert averaged_otoc(part, u) == pytest.approx(pure.real, abs=1e-12)
 
 
 @pytest.mark.parametrize("n_a,n_b", [(1, 9), (5, 5)])

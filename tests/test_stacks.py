@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from _oracles import instantaneous_basis
+from _oracles import haar_unitary, instantaneous_basis, random_density
 from scramble import qdense
 from scramble.liouville import (
     bound8_report,
@@ -18,9 +18,7 @@ from scramble.qdense import (
     check_density_matrix,
     check_hermitian,
     eigh,
-    haar_unitary,
     partial_trace,
-    random_density,
     random_hermitian,
     seeded_rng,
     unitary_family,
@@ -93,14 +91,6 @@ def test_otoc_stacks_match_slices(n_a, n_b):
         stacked = modified_otoc(part, us)
         assert isinstance(modified_otoc(part, us[0]), float)
         _close(stacked, [modified_otoc(part, u) for u in us])
-
-
-def test_initial_state_otoc_stack_matches_slices():
-    # A diagonal state with <ZZ> = 0 under H = ZZ keeps the average real.
-    part = Bipartition(1, 1)
-    rho0 = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
-    us = unitary_family(*eigh(np.diag([1.0, -1.0, -1.0, 1.0])))(TIMES)
-    _close(averaged_otoc(part, us, rho0), [averaged_otoc(part, u, rho0) for u in us])
 
 
 def test_rate_stacks_match_slices():

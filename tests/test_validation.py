@@ -24,8 +24,7 @@ from scramble.qdense import (
     random_hermitian,
     seeded_rng,
 )
-from scramble.models import entangler2_preset, realize_circuit
-from scramble.scrambling import OtocConfig, bound_report
+from scramble.scrambling import bound_report
 
 PART = Bipartition(1, 1)
 H = random_hermitian(PART.dim, seeded_rng(3))
@@ -144,16 +143,6 @@ def test_each_state_is_validated_once(density_checks):
     # The start, then each rho(t) once, in stacks of a few samples.
     bound8_report(h, part, initial, times)
     assert density_checks == ["initial"] + ["rho_S"] * times.size
-    density_checks.clear()
-
-    # The initial-state expectation reuses the already-checked start.
-    part = Bipartition(1, 1)
-    initial = np.zeros((part.dim, part.dim), dtype=complex)
-    initial[0, 0] = 1.0
-    times = np.linspace(0.0, 1.0, 11)
-    bound_report(lambda t: realize_circuit(entangler2_preset(), t), part, initial, times,
-                 OtocConfig(expectation_state="initial_state"))
-    assert len(density_checks) == 1
 
 
 @pytest.mark.parametrize("fn", [renyi2, von_neumann])
