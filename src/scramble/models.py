@@ -5,13 +5,17 @@ masks, filled entry by entry with no dense term. Jordan-Wigner Majoranas
 (psi^2 = I/2) multiply to such strings with a phase. SYK couplings are i.i.d.
 Gaussians with variance J^2 (q-1)! / N^(q-1), drawn from a stream keyed by
 (seed, realization_index) and consumed in lexicographic index-tuple order, so
-disorder realizations are reproducible and mutually independent.
+disorder realizations are reproducible and mutually independent. On Linux a
+trajectory's realizations can run in forked worker processes, which send their
+channel tables back pickled through pipes; the average is the same either way.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
+import pickle
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -324,6 +328,65 @@ def average_reports(reports: Sequence[dict[str, np.ndarray]]) -> dict[str, np.nd
     return avg
 
 
+def _forked_map(fn, jobs: Sequence, workers: int) -> list:
+    """[fn(job) for job in jobs], computed in ``workers`` forked children.
+
+    Child w maps jobs[w::workers] and writes ("ok", results) or ("error", exc),
+    pickled, to its own pipe, then leaves through os._exit, so it never returns
+    into the caller's frames or flushes the buffers it inherited. The parent
+    reads the pipes to EOF in worker order and re-raises a child's exception;
+    an empty pipe means the child died without reporting (a signal, the OOM
+    killer). Every read end is closed before any child is waited for: a child
+    blocked writing more than a pipe buffer gets EPIPE instead of deadlocking
+    a parent that is raising.
+    """
+    pids: list[int] = []
+    reads: list[int] = []
+    results: list = [None] * len(jobs)
+    try:
+        for w in range(workers):
+            r, wr = os.pipe()
+            reads.append(r)
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(wr)
+                raise
+            if pid == 0:
+                status = 1
+                try:
+                    # A worker's write fails with EPIPE only once no process holds its read end.
+                    for fd in reads:
+                        os.close(fd)
+                    try:
+                        data = pickle.dumps(("ok", [fn(job) for job in jobs[w::workers]]))
+                    except Exception as exc:
+                        data = pickle.dumps(("error", exc))
+                    with open(wr, "wb") as pipe:
+                        pipe.write(data)
+                    status = 0
+                finally:
+                    os._exit(status)
+            pids.append(pid)
+            os.close(wr)
+        for w, (pid, r) in enumerate(zip(pids, reads)):
+            chunks = []
+            while chunk := os.read(r, 1 << 16):
+                chunks.append(chunk)
+            if not chunks:
+                raise ChildProcessError(f"worker process {pid} exited without a result")
+            kind, payload = pickle.loads(b"".join(chunks))
+            if kind == "error":
+                raise payload
+            results[w::workers] = payload
+    finally:
+        for r in reads:
+            os.close(r)
+        for pid in pids:
+            os.waitpid(pid, 0)
+    return results
+
+
 def syk_trajectory(
     cfg: SykConfig,
     part: Bipartition,
@@ -333,18 +396,19 @@ def syk_trajectory(
 ) -> tuple[list[dict[str, np.ndarray]], dict[str, np.ndarray]]:
     """Per-realization channel tables on the grid ``times``, plus their average.
 
-    Realizations are independent work units; with workers > 1 they run in a
-    process pool of at most one process per realization, and the reduction is
-    always taken in realization-index order, so results are identical for
-    every worker count.
+    Realizations are independent work units. On Linux, with workers > 1 they
+    run in at most one forked process per realization; other platforms run
+    them serially. The reduction is always taken in realization-index order,
+    so results are identical for every worker count.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     if part.dim != 2**cfg.n_qubits:
         raise ValueError("partition does not match the SYK register size")
     jobs = [(cfg, part, initial, times, k) for k in range(cfg.realizations)]
     workers = min(workers, len(jobs))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_syk_realization, jobs, chunksize=1))
+    if workers > 1 and sys.platform == "linux":
+        reports = _forked_map(_syk_realization, jobs, workers)
     else:
         reports = [_syk_realization(j) for j in jobs]
     return reports, average_reports(reports)

@@ -256,7 +256,7 @@ def test_scramble_workers_env_must_be_integer(tmp_path, monkeypatch, capsys):
 
 
 def test_validate_ok(tmp_path, capsys):
-    cfg = base_syk_config(tmp_path, workers=2)  # only SYK runs use a process pool
+    cfg = base_syk_config(tmp_path, workers=2)  # only SYK runs have worker processes
     assert cli.main(["validate", write_config(tmp_path, cfg)]) == 0
     assert "ok" in capsys.readouterr().out
 
@@ -589,6 +589,25 @@ def test_library_value_error_exits_3_without_traceback(tmp_path, capsys, monkeyp
     assert not (tmp_path / "out" / "syk.json").exists()
 
 
+def test_pooled_library_value_error_exits_3_without_traceback(tmp_path, capsys, monkeypatch):
+    # The same mid-run ValueError raised inside forked workers reaches cmd_run
+    # as itself: exit 3, no traceback, and no stale outputs.
+    assert cli.main(["run", write_config(tmp_path, base_syk_config(tmp_path))]) == 0
+
+    def refuse(part, u_t):
+        raise ValueError("averaged OTOC refused mid-run")
+
+    monkeypatch.setattr(scrambling, "averaged_otoc", refuse)
+    monkeypatch.setenv("SCRAMBLE_WORKERS", "2")
+    cfg = base_syk_config(tmp_path, seed=1)
+    assert cli.main(["run", write_config(tmp_path, cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "assertion violation" in err and "refused mid-run" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "syk.csv").exists()
+    assert not (tmp_path / "out" / "syk.json").exists()
+
+
 def test_import_loads_numpy_random():
     # numpy loads numpy.random lazily; importing it with the package keeps
     # that cost in start-up rather than in the first seeded run.
@@ -596,3 +615,16 @@ def test_import_loads_numpy_random():
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+def test_import_loads_no_process_pool_machinery():
+    # SYK workers are forked directly, so no run pays for importing
+    # concurrent.futures or multiprocessing at start-up.
+    code = ("import sys, scramble.cli; "
+            "sys.exit(' '.join(m for m in ('concurrent.futures', 'multiprocessing') "
+            "if m in sys.modules) or None)")
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, f"imported: {run.stderr.strip()}"

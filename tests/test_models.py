@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import signal
+import sys
 from functools import reduce
 
 import numpy as np
@@ -486,36 +489,105 @@ def test_syk_trajectory_worker_count_invariance():
         np.testing.assert_array_equal(serial[name], pooled[name])
 
 
+# syk_trajectory forks its workers on Linux only; elsewhere it runs serially.
+forked = pytest.mark.skipif(sys.platform != "linux", reason="workers fork on Linux only")
+
+
+@forked
 @pytest.mark.parametrize("workers, realizations, pools",
                          [(1000, 2, [2]), (3, 5, [3]), (1000, 1, []), (1, 3, [])])
 def test_syk_trajectory_caps_pool_workers_at_realizations(monkeypatch, workers,
                                                           realizations, pools):
     requested = []
 
-    class RecordingPool:
-        """Stands in for the process pool: records its size, maps serially."""
+    def recording_map(fn, jobs, workers):
+        """Stands in for the forked workers: records their count, maps serially."""
+        requested.append(workers)
+        return [fn(job) for job in jobs]
 
-        def __init__(self, max_workers):
-            requested.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs, chunksize=1):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(models, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(models, "_forked_map", recording_map)
     reports, _ = syk_trajectory(syk_config(realizations=realizations), Bipartition(1, 2),
                                 zero_state(3), SYK_TIMES, workers=workers)
     assert requested == pools
     assert len(reports) == realizations
 
 
+def fail_realization(monkeypatch, realization, action):
+    """Make building realization ``realization`` call ``action`` first; forks inherit it."""
+    build = models.build_syk_hamiltonian
+
+    def failing(cfg, k):
+        if k == realization:
+            action()
+        return build(cfg, k)
+
+    monkeypatch.setattr(models, "build_syk_hamiltonian", failing)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def boom():
+    raise ValueError("boom")
+
+
+@forked
+def test_forked_worker_error_is_reraised(monkeypatch):
+    fail_realization(monkeypatch, 1, boom)
+    with pytest.raises(ValueError, match="^boom$"):
+        syk_trajectory(syk_config(realizations=3), Bipartition(1, 2), zero_state(3),
+                       SYK_TIMES, workers=2)
+    assert_no_child_left()
+
+
+@forked
+def test_forked_worker_error_with_a_full_pipe_does_not_hang(monkeypatch):
+    # Realization 0 fails at once while worker 1 has 20 reports of 2001
+    # samples to send, far more than a pipe buffer holds: the parent must
+    # close that pipe before it waits for the worker, or both block forever.
+    fail_realization(monkeypatch, 0, boom)
+
+    def hung(signum, frame):
+        raise TimeoutError("syk_trajectory hung after a worker error")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    try:
+        with pytest.raises(ValueError, match="^boom$"):
+            syk_trajectory(syk_config(realizations=40), Bipartition(1, 2), zero_state(3),
+                           np.linspace(0.0, 1.0, 2001), workers=2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert_no_child_left()
+
+
+@forked
+def test_killed_forked_worker_raises_child_process_error(monkeypatch):
+    parent = os.getpid()
+
+    def die():
+        if os.getpid() != parent:  # never the test process itself
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    fail_realization(monkeypatch, 1, die)
+    with pytest.raises(ChildProcessError, match="worker process"):
+        syk_trajectory(syk_config(realizations=3), Bipartition(1, 2), zero_state(3),
+                       SYK_TIMES, workers=2)
+    assert_no_child_left()
+
+
 def test_syk_trajectory_partition_mismatch():
     cfg = syk_config()
     with pytest.raises(ValueError):
         syk_trajectory(cfg, Bipartition(1, 1), zero_state(2), SYK_TIMES)
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_syk_trajectory_rejects_fewer_than_one_worker(workers):
+    with pytest.raises(ValueError, match="workers"):
+        syk_trajectory(syk_config(), Bipartition(1, 2), zero_state(3), SYK_TIMES,
+                       workers=workers)
 
