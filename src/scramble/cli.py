@@ -368,6 +368,13 @@ def _config_error(exc: ConfigError) -> int:
     return 2
 
 
+def _remove_outputs(output: str, suffixes: tuple[str, ...]) -> None:
+    """Remove outputs left by an earlier run, which would not describe this run."""
+    for suffix in suffixes:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(output + suffix)
+
+
 def cmd_run(ref: str) -> int:
     try:
         cfg = load_config(resolve_config_path(ref))
@@ -382,12 +389,15 @@ def cmd_run(ref: str) -> int:
         # residue, say), before any CSV is written; an AssertionViolation
         # comes after this run's CSV, which is kept for inspection.
         print(f"assertion violation: {exc}", file=sys.stderr)
-        # Outputs left by an earlier run would not describe this run.
-        stale = (".json",) if isinstance(exc, AssertionViolation) else (".json", ".csv")
-        for suffix in stale:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(cfg.output + suffix)
+        _remove_outputs(cfg.output, (".json",) if isinstance(exc, AssertionViolation)
+                        else (".json", ".csv"))
         return 3
+    except ChildProcessError as exc:
+        # A SYK worker died without a result (a signal, the OOM killer), before
+        # any CSV is written.
+        print(f"error: {exc}", file=sys.stderr)
+        _remove_outputs(cfg.output, (".json", ".csv"))
+        return 1
     _rewrite(cfg.output + ".json", json.dumps(summary, indent=2) + "\n")
     print(f"wrote {csv_path} and {cfg.output}.json")
     return 0

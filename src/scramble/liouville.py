@@ -4,7 +4,9 @@ Conventions: row-major vec, |rho>_(r,c) = rho[r, c], so the von Neumann
 generator is W = -i (H x I - I x H^T) and vec(rho_dot) = W vec(rho). All
 rate channels are evaluated in the instantaneous product eigenbasis of the
 marginals, with eigenvalues sorted descending; the marginal eigenvalue
-attached to Liouville index m = (r, c) is read off the row part r.
+attached to Liouville index m = (r, c) is read off the row part r. W is
+built once per sample, but the rate sums read only two d x d tables of it:
+off its masked diagonals, W's support is d copies of each.
 """
 
 from __future__ import annotations
@@ -123,10 +125,10 @@ def mutual_information_rate(h: ComplexMatrix, rho_s: DensityMatrix, part: Bipart
     return float_or_array(val.real)
 
 
-def _pair_phases(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """|W| and |log(W/W^T)| on a (..., d, d, d) support block of W.
+def _pair_phases(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|W| and |log(W/W^T)| on a (..., d, d) table of W's support.
 
-    ``block[..., m, m', k]`` pairs with ``block[..., m', m, k]`` in W^T. W is
+    ``table[..., m, m']`` pairs with ``table[..., m', m]`` in W^T. W is
     skew-Hermitian, so W^T = -conj(W) entrywise and W/W^T = -W^2/|W|^2 is a
     pure phase: log(W/W^T) = i arg(-W^2) on the principal branch. As
     arg(-W^2) = 2 arg W + pi (mod 2 pi), |arg(-W^2)| = |2 |arg W| - pi|, one
@@ -134,10 +136,10 @@ def _pair_phases(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     arrays are zero where either |W| entry is at or below the cutoff, and on
     the m = m' diagonal, where the ratio is exactly 1.
     """
-    mag = np.abs(block)
-    skipped = np.minimum(mag, mag.swapaxes(-3, -2)) <= PAIR_CUTOFF
-    skipped |= np.eye(block.shape[-2], dtype=bool)[:, :, np.newaxis]
-    phase = np.abs(2.0 * np.abs(np.angle(block)) - np.pi)
+    mag = np.abs(table)
+    skipped = np.minimum(mag, mag.swapaxes(-2, -1)) <= PAIR_CUTOFF
+    skipped |= np.eye(table.shape[-1], dtype=bool)
+    phase = np.abs(2.0 * np.abs(np.angle(table)) - np.pi)
     mag[skipped] = 0.0
     phase[skipped] = 0.0
     return mag, phase
@@ -148,25 +150,31 @@ def _w_sums(h: ComplexMatrix, basis: ComplexMatrix, a_rows: np.ndarray, b_rows: 
 
     The only code that builds W: one (T, d^2, d^2) stack, freed on return.
     ``a_rows`` and ``b_rows`` are the (T, d) marginal weights of each row index.
+    W's support is two (d, d, d) blocks of d copies of one d x d table each:
+    same column, W[(r, c), (r', c)] = -i H'[r, r'], and same row,
+    W[(r, c), (r, c')] = i H'[c', c], off the masked diagonals r = r' and
+    c = c'. The sums run on the c = 0 and r = 0 tables.
     """
     d = basis.shape[-1]
     w = build_liouvillian(h, basis).reshape(basis.shape[:-2] + (d, d, d, d))
-    # Same column, [r, r', c]: the weights w(r') enter as the prefactor and as
-    # the real shift log(w(r')/w(r)), which keeps the principal branch.
-    mag_c, phase_c = _pair_phases(w.diagonal(axis1=-3, axis2=-1))
-    # Same row, [c, c', r]: the weight ratio is 1. Pairs with r = r' and c = c'
-    # lie in both blocks; log 1 = 0, so both leave them out.
-    mag_r, phase_r = _pair_phases(w.diagonal(axis1=-4, axis2=-2))
-    exchange_c = (mag_c * phase_c).sum(axis=(-3, -1))
-    exchange_r = (mag_r * phase_r).sum(axis=(-3, -2))
+    # Same column, [r, r']: the weights w(r') enter as the prefactor and as
+    # the real shift log(w(r')/w(r)), which keeps the principal branch; the
+    # d columns give d equal copies.
+    mag_c, phase_c = _pair_phases(w[..., :, 0, :, 0])
+    # Same row, [c, c']: the weight ratio is 1, so every row r adds w(r) times
+    # one sum. Pairs with r = r' and c = c' lie in both blocks; log 1 = 0, so
+    # both leave them out.
+    mag_r, phase_r = _pair_phases(w[..., 0, :, 0, :])
+    exchange_c = (mag_c * phase_c).sum(axis=-2)
+    exchange_r = (mag_r * phase_r).sum(axis=(-2, -1))
 
     def local_sums(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(S_dot, S_E) for the marginal weight of each row index r."""
         shift = np.log(weights[..., np.newaxis, :] / weights[..., :, np.newaxis])
-        s_dot_c = (mag_c * np.hypot(shift[..., np.newaxis], phase_c)).sum(axis=(-3, -1))
-        same_r = (weights * exchange_r).sum(axis=-1)
-        return ((weights * s_dot_c).sum(axis=-1) + same_r,
-                (weights * exchange_c).sum(axis=-1) + same_r)
+        s_dot_c = (mag_c * np.hypot(shift, phase_c)).sum(axis=-2)
+        same_r = weights.sum(axis=-1) * exchange_r
+        return (d * (weights * s_dot_c).sum(axis=-1) + same_r,
+                d * (weights * exchange_c).sum(axis=-1) + same_r)
 
     return local_sums(a_rows) + local_sums(b_rows)
 
@@ -181,7 +189,11 @@ def entropy_production_rates(h: ComplexMatrix, rho_s: DensityMatrix, part: Bipar
     log(W/W^T) is the pure phase i arg(-W^2) on the principal branch
     (_pair_phases) and a term is |W| hypot(s, |arg(-W^2)|).
     W is nonzero only where m = (r, c) and m' = (r', c') share c or share r,
-    so the sums run over those two d^3 blocks: every other pair has W = 0.
+    and every other pair has W = 0. Off the masked diagonal each of those two
+    d^3 blocks is d copies of one d x d table, so the sums run on the two
+    tables: S_dot_X = d sum_{r,r'} w(r') |W| hypot(ln(w(r')/w(r)), phi)
+    + X sum_r w(r) and S_E^X = d sum w(r') |W| phi + X sum_r w(r), with phi
+    the pair phase and X = sum |W| phi over the same-row table.
     The exchange channel is reported as SdotE = S_E^A + S_E^B with coeffC
     the matching weighted ratio, preserving the weighted product exactly.
     Keys are the channel names: Idot, SdotA, SdotB, SdotE, coeffA, coeffB,
@@ -190,7 +202,8 @@ def entropy_production_rates(h: ComplexMatrix, rho_s: DensityMatrix, part: Bipar
     (..., d, d) stack, giving arrays over the leading axes.
     Validation, Idot, the marginal eigensystems and the coefficients are taken
     once over the whole stack; W, with d^4 entries per sample, is built only
-    for sub-stacks of the flattened leading axes cut by qdense.time_chunks.
+    for sub-stacks of the flattened leading axes cut by qdense.time_chunks,
+    and the pair sums take 2 d^2 entries of it per sample.
     """
     i_dot = mutual_information_rate(h, rho_s, part)  # validates h, rho_s and part
     rho_s = np.asarray(rho_s, dtype=complex)

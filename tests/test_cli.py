@@ -4,6 +4,7 @@ import csv
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -603,6 +604,30 @@ def test_pooled_library_value_error_exits_3_without_traceback(tmp_path, capsys, 
     assert cli.main(["run", write_config(tmp_path, cfg)]) == 3
     err = capsys.readouterr().err
     assert "assertion violation" in err and "refused mid-run" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "syk.csv").exists()
+    assert not (tmp_path / "out" / "syk.json").exists()
+
+
+def test_killed_worker_exits_1_without_traceback(tmp_path, capsys, monkeypatch):
+    # A good run first leaves a CSV and a summary at the same output.
+    assert cli.main(["run", write_config(tmp_path, base_syk_config(tmp_path))]) == 0
+    assert (tmp_path / "out" / "syk.csv").exists()
+    # A forked worker killed mid-run leaves no result: exit 1, one error line,
+    # and neither output of the earlier run stays behind.
+    parent = os.getpid()
+    build = models.build_syk_hamiltonian
+
+    def killed(cfg, k):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return build(cfg, k)
+
+    monkeypatch.setattr(models, "build_syk_hamiltonian", killed)
+    cfg = base_syk_config(tmp_path, seed=1, workers=2)
+    assert cli.main(["run", write_config(tmp_path, cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "exited without a result" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out" / "syk.csv").exists()
     assert not (tmp_path / "out" / "syk.json").exists()

@@ -215,11 +215,29 @@ def test_entropy_production_rates_matches_dense_oracle_at_2_3():
     _assert_rates_match_oracle(random_hermitian(part.dim, rng), regularize(zero_state(5)), part)
 
 
-def _support_blocks(h):
-    """W's same-column and same-row (d, d, d) blocks, as entropy_production_rates reads them."""
+def _support_tables(h):
+    """W's same-column and same-row (d, d) tables, as entropy_production_rates reads them."""
     d = h.shape[0]
     w = build_liouvillian(h).reshape(d, d, d, d)
-    return w.diagonal(axis1=-3, axis2=-1), w.diagonal(axis1=-4, axis2=-2)
+    return w[:, 0, :, 0], w[0, :, 0, :]
+
+
+def test_liouvillian_support_blocks_repeat_one_table():
+    # The rate sums read W's same-column block [r, r', c] on its c = 0 table
+    # and the same-row block [c, c', r] on its r = 0 table: off the r = r'
+    # (c = c') diagonal, every slice must be that table bit for bit.
+    rng = seeded_rng(919)
+    d = 8
+    h = random_hermitian(d, rng)
+    bases = np.stack([np.kron(haar_unitary(2, rng), haar_unitary(4, rng)),
+                      np.kron(haar_unitary(4, rng), haar_unitary(2, rng))])
+    w = build_liouvillian(h, bases).reshape(2, d, d, d, d)
+    off = ~np.eye(d, dtype=bool)
+    same_c = w.diagonal(axis1=-3, axis2=-1)
+    same_r = w.diagonal(axis1=-4, axis2=-2)
+    for k in range(d):
+        assert np.array_equal(same_c[:, off, k], same_c[:, off, 0]), k
+        assert np.array_equal(same_r[:, off, k], same_r[:, off, 0]), k
 
 
 def test_pair_phases_are_the_principal_log_of_w_pairs():
@@ -232,12 +250,12 @@ def test_pair_phases_are_the_principal_log_of_w_pairs():
     rng = seeded_rng(918)
     basis = np.kron(haar_unitary(2, rng), haar_unitary(4, rng))
     h_rot = basis.conj().T @ random_hermitian(part.dim, rng) @ basis
-    keep = np.broadcast_to(~np.eye(part.dim, dtype=bool)[:, :, np.newaxis], (part.dim,) * 3)
-    for block in _support_blocks((h_rot + h_rot.conj().T) / 2):
-        mag, phase = _pair_phases(block)
-        safe = np.where(keep, block, 1.0)  # the m = m' diagonal may hold 0/0
+    keep = ~np.eye(part.dim, dtype=bool)
+    for table in _support_tables((h_rot + h_rot.conj().T) / 2):
+        mag, phase = _pair_phases(table)
+        safe = np.where(keep, table, 1.0)  # the m = m' diagonal may hold 0/0
         ref = np.log(safe / safe.swapaxes(0, 1))
-        np.testing.assert_array_equal(mag, np.where(keep, np.abs(block), 0.0))
+        np.testing.assert_array_equal(mag, np.where(keep, np.abs(table), 0.0))
         np.testing.assert_allclose(ref.real[keep], 0.0, rtol=0, atol=1e-15)
         np.testing.assert_allclose(phase, np.where(keep, np.abs(ref.imag), 0.0),
                                    rtol=0, atol=1e-15)
@@ -251,7 +269,7 @@ def test_pair_phases_give_pi_at_the_cut_and_skip_sub_cutoff_pairs():
     h = np.diag([0.3, -0.1, 0.7, 0.2]).astype(complex)
     h[0, 2], h[2, 0] = 0.5j, -0.5j
     h[1, 3], h[3, 1] = 1e-13, 2e-12
-    same_c, same_r = _support_blocks(h)
+    same_c, same_r = _support_tables(h)
     mag, phase = _pair_phases(same_c)
     assert (phase[0, 2] == np.pi).all() and (phase[2, 0] == np.pi).all()
     assert (mag[0, 2] == 0.5).all() and (mag[2, 0] == 0.5).all()
