@@ -35,7 +35,6 @@ from .models import (
 from .qdense import OBAR_T0_TOL, RANK_TOL, SLACK_TOL, Bipartition
 from .scrambling import bound_report
 
-KINDS = ("syk", "circuit", "bound8")
 # CSV columns in file order; a run writes those its channel table holds.
 COLUMNS = ("t", "I", "I2", "Obar", "deltaO", "deltaMO", "Idot", "SdotA", "SdotB", "SdotE",
            "slack9", "slack8")
@@ -43,7 +42,7 @@ COLUMNS = ("t", "I", "I2", "Obar", "deltaO", "deltaMO", "Idot", "SdotA", "SdotB"
 # Hamiltonian trajectory (bound8) slack9 is a diagnostic only.
 ASSERTED_SLACK = {"syk": "slack9", "circuit": "slack9", "bound8": "slack8"}
 BUILTIN_CIRCUITS = {"scrambler3": scrambler_preset, "entangler2": entangler2_preset}
-# Top-level config fields: those of every kind, then each kind's own.
+# Top-level config fields: those of every kind, then each kind's own, keyed by kind.
 COMMON_FIELDS = ("kind", "partition", "time_grid", "output", "seed")
 KIND_FIELDS = {"syk": ("syk", "workers"), "circuit": ("circuit", "modified_otoc"),
                "bound8": ("model", "delta")}
@@ -190,7 +189,7 @@ def _resolve_circuit(ref: str, base_dir: str) -> CircuitSpec:
 def load_config(path: str) -> ExperimentConfig:
     data = _json_object(_read_text(path, "config file", path))
     kind = _field(data, "kind", str)
-    _expect(kind in KINDS, f"kind: must be one of {list(KINDS)}")
+    _expect(kind in KIND_FIELDS, f"kind: must be one of {list(KIND_FIELDS)}")
     _known_fields(data, COMMON_FIELDS + KIND_FIELDS[kind])
     part_block = _block(data.get("partition"), "partition", ("n_a", "n_b"))
     n_a = _field(part_block, "n_a", int, "partition")
@@ -259,6 +258,15 @@ def _zero_state(n_qubits: int) -> np.ndarray:
     return rho
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """Report an OSError from writing ``path`` as a config error on ``output``."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"output: cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _rewrite(path: str, text: str) -> None:
     """Make ``path`` hold exactly ``text`` (UTF-8), overwriting the file in place.
 
@@ -286,7 +294,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dict, str]:
     started = time.perf_counter()
     out_dir = os.path.dirname(cfg.output)
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
+        with _writing(out_dir):
+            os.makedirs(out_dir, exist_ok=True)
     csv_path = cfg.output + ".csv"
     summary: dict = {
         "kind": cfg.kind,
@@ -326,7 +335,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dict, str]:
         summary["model"] = cfg.model
         summary["delta"] = cfg.delta
 
-    write_csv(csv_path, table)
+    with _writing(csv_path):
+        write_csv(csv_path, table)
     for name in ("slack9", "slack8"):
         if name in table:
             summary["violations"][name] = int(np.count_nonzero(table[name] < SLACK_TOL))
@@ -380,9 +390,12 @@ def cmd_run(ref: str) -> int:
         cfg = load_config(resolve_config_path(ref))
     except ConfigError as exc:
         return _config_error(exc)
+    json_path = cfg.output + ".json"
     try:
         summary, csv_path = run_experiment(cfg)
-    except ConfigError as exc:  # SCRAMBLE_WORKERS is read at run time
+        with _writing(json_path):
+            _rewrite(json_path, json.dumps(summary, indent=2) + "\n")
+    except ConfigError as exc:  # SCRAMBLE_WORKERS and the output paths are checked at run time
         return _config_error(exc)
     except (AssertionViolation, ValueError) as exc:
         # A ValueError here is a library check failing mid-run (an imaginary
@@ -398,8 +411,7 @@ def cmd_run(ref: str) -> int:
         print(f"error: {exc}", file=sys.stderr)
         _remove_outputs(cfg.output, (".json", ".csv"))
         return 1
-    _rewrite(cfg.output + ".json", json.dumps(summary, indent=2) + "\n")
-    print(f"wrote {csv_path} and {cfg.output}.json")
+    print(f"wrote {csv_path} and {json_path}")
     return 0
 
 

@@ -5,8 +5,8 @@ generator is W = -i (H x I - I x H^T) and vec(rho_dot) = W vec(rho). All
 rate channels are evaluated in the instantaneous product eigenbasis of the
 marginals, with eigenvalues sorted descending; the marginal eigenvalue
 attached to Liouville index m = (r, c) is read off the row part r. W is
-built once per sample, but the rate sums read only two d x d tables of it:
-off its masked diagonals, W's support is d copies of each.
+built once per sample, but the rate sums read only one d x d table of it:
+off its masked diagonals, W's support is d copies each of it and of -it^T.
 """
 
 from __future__ import annotations
@@ -153,25 +153,25 @@ def _w_sums(h: ComplexMatrix, basis: ComplexMatrix, a_rows: np.ndarray, b_rows: 
     W's support is two (d, d, d) blocks of d copies of one d x d table each:
     same column, W[(r, c), (r', c)] = -i H'[r, r'], and same row,
     W[(r, c), (r, c')] = i H'[c', c], off the masked diagonals r = r' and
-    c = c'. The sums run on the c = 0 and r = 0 tables.
+    c = c'. The same-row table is minus the transpose of the same-column one,
+    so the sums run on the c = 0 table alone.
     """
     d = basis.shape[-1]
     w = build_liouvillian(h, basis).reshape(basis.shape[:-2] + (d, d, d, d))
     # Same column, [r, r']: the weights w(r') enter as the prefactor and as
     # the real shift log(w(r')/w(r)), which keeps the principal branch; the
-    # d columns give d equal copies.
-    mag_c, phase_c = _pair_phases(w[..., :, 0, :, 0])
-    # Same row, [c, c']: the weight ratio is 1, so every row r adds w(r) times
-    # one sum. Pairs with r = r' and c = c' lie in both blocks; log 1 = 0, so
-    # both leave them out.
-    mag_r, phase_r = _pair_phases(w[..., 0, :, 0, :])
-    exchange_c = (mag_c * phase_c).sum(axis=-2)
-    exchange_r = (mag_r * phase_r).sum(axis=(-2, -1))
+    # d columns give d equal copies. Same row, [c, c']: the weight ratio is 1,
+    # so every row r adds w(r) times the sum over the same-column terms, as
+    # |W| and the pair phase are even in W. Pairs with r = r' and c = c' lie
+    # in both blocks; log 1 = 0, so both leave them out.
+    mag, phase = _pair_phases(w[..., :, 0, :, 0])
+    exchange_c = (mag * phase).sum(axis=-2)
+    exchange_r = exchange_c.sum(axis=-1)
 
     def local_sums(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(S_dot, S_E) for the marginal weight of each row index r."""
         shift = np.log(weights[..., np.newaxis, :] / weights[..., :, np.newaxis])
-        s_dot_c = (mag_c * np.hypot(shift, phase_c)).sum(axis=-2)
+        s_dot_c = (mag * np.hypot(shift, phase)).sum(axis=-2)
         same_r = weights.sum(axis=-1) * exchange_r
         return (d * (weights * s_dot_c).sum(axis=-1) + same_r,
                 d * (weights * exchange_c).sum(axis=-1) + same_r)
@@ -190,10 +190,11 @@ def entropy_production_rates(h: ComplexMatrix, rho_s: DensityMatrix, part: Bipar
     (_pair_phases) and a term is |W| hypot(s, |arg(-W^2)|).
     W is nonzero only where m = (r, c) and m' = (r', c') share c or share r,
     and every other pair has W = 0. Off the masked diagonal each of those two
-    d^3 blocks is d copies of one d x d table, so the sums run on the two
-    tables: S_dot_X = d sum_{r,r'} w(r') |W| hypot(ln(w(r')/w(r)), phi)
-    + X sum_r w(r) and S_E^X = d sum w(r') |W| phi + X sum_r w(r), with phi
-    the pair phase and X = sum |W| phi over the same-row table.
+    d^3 blocks is d copies of one d x d table, the same-row one minus the
+    same-column one's transpose. |W| and the pair phase phi are even in W,
+    so the sums run on the same-column table: S_dot_X = d sum_{r,r'} w(r')
+    |W| hypot(ln(w(r')/w(r)), phi) + X sum_r w(r) and S_E^X = d sum w(r')
+    |W| phi + X sum_r w(r), with X = sum |W| phi over the whole table.
     The exchange channel is reported as SdotE = S_E^A + S_E^B with coeffC
     the matching weighted ratio, preserving the weighted product exactly.
     Keys are the channel names: Idot, SdotA, SdotB, SdotE, coeffA, coeffB,
@@ -203,7 +204,7 @@ def entropy_production_rates(h: ComplexMatrix, rho_s: DensityMatrix, part: Bipar
     Validation, Idot, the marginal eigensystems and the coefficients are taken
     once over the whole stack; W, with d^4 entries per sample, is built only
     for sub-stacks of the flattened leading axes cut by qdense.time_chunks,
-    and the pair sums take 2 d^2 entries of it per sample.
+    and the pair sums take d^2 entries of it per sample.
     """
     i_dot = mutual_information_rate(h, rho_s, part)  # validates h, rho_s and part
     rho_s = np.asarray(rho_s, dtype=complex)

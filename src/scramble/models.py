@@ -314,12 +314,6 @@ def entangler2_preset() -> CircuitSpec:
 # Disorder-averaged trajectories
 
 
-def _syk_realization(args) -> dict[str, np.ndarray]:
-    cfg, part, initial, times, k = args
-    h = build_syk_hamiltonian(cfg, k)
-    return bound_report(h, part, initial, times)
-
-
 def average_reports(reports: Sequence[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
     """Pointwise channel mean, taken in list (realization-index) order."""
     avg = {k: np.mean([r[k] for r in reports], axis=0) for k in reports[0]}
@@ -396,19 +390,23 @@ def syk_trajectory(
 ) -> tuple[list[dict[str, np.ndarray]], dict[str, np.ndarray]]:
     """Per-realization channel tables on the grid ``times``, plus their average.
 
-    Realizations are independent work units. On Linux, with workers > 1 they
-    run in at most one forked process per realization; other platforms run
-    them serially. The reduction is always taken in realization-index order,
-    so results are identical for every worker count.
+    Realizations are independent work units, one per index k. On Linux, with
+    workers > 1 they run in at most one forked process per realization, which
+    inherits its inputs; other platforms run them serially. The reduction is
+    always taken in realization-index order, so results are identical for
+    every worker count.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     if part.dim != 2**cfg.n_qubits:
         raise ValueError("partition does not match the SYK register size")
-    jobs = [(cfg, part, initial, times, k) for k in range(cfg.realizations)]
-    workers = min(workers, len(jobs))
+
+    def realization(k: int) -> dict[str, np.ndarray]:
+        return bound_report(build_syk_hamiltonian(cfg, k), part, initial, times)
+
+    workers = min(workers, cfg.realizations)
     if workers > 1 and sys.platform == "linux":
-        reports = _forked_map(_syk_realization, jobs, workers)
+        reports = _forked_map(realization, range(cfg.realizations), workers)
     else:
-        reports = [_syk_realization(j) for j in jobs]
+        reports = [realization(k) for k in range(cfg.realizations)]
     return reports, average_reports(reports)

@@ -253,6 +253,31 @@ def test_scramble_workers_env_must_be_integer(tmp_path, monkeypatch, capsys):
     assert "SCRAMBLE_WORKERS" in capsys.readouterr().err
 
 
+def test_output_under_a_regular_file_exits_2_before_any_work(tmp_path, capsys, monkeypatch):
+    # validate does not touch the output path; run reports it as a field error.
+    (tmp_path / "blocker").write_text("a file, not a directory\n")
+    cfg = base_circuit_config(tmp_path, output=str(tmp_path / "blocker" / "run"))
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["validate", path]) == 0
+    capsys.readouterr()
+    calls = []
+    monkeypatch.setattr(cli, "bound_report", lambda *args, **kwargs: calls.append(args))
+    assert cli.main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: output: cannot write {tmp_path / 'blocker'}: File exists\n"
+    assert calls == []
+
+
+def test_directory_at_the_csv_path_exits_2(tmp_path, capsys):
+    cfg = base_circuit_config(tmp_path)
+    csv_path = cfg["output"] + ".csv"
+    os.makedirs(csv_path)
+    assert cli.main(["run", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: output: cannot write {csv_path}: Is a directory\n"
+    assert not (tmp_path / "out" / "run.json").exists()
+
+
 # --- validation and exit code 2 --------------------------------------------------
 
 

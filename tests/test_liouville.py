@@ -223,9 +223,10 @@ def _support_tables(h):
 
 
 def test_liouvillian_support_blocks_repeat_one_table():
-    # The rate sums read W's same-column block [r, r', c] on its c = 0 table
-    # and the same-row block [c, c', r] on its r = 0 table: off the r = r'
-    # (c = c') diagonal, every slice must be that table bit for bit.
+    # The rate sums read only the c = 0 table of W's same-column block
+    # [r, r', c]. Off the r = r' (c = c') diagonal, every slice of that block
+    # and of the same-row block [c, c', r] must be the block's 0-slice bit for
+    # bit, and the same-row table exactly minus the same-column one's transpose.
     rng = seeded_rng(919)
     d = 8
     h = random_hermitian(d, rng)
@@ -238,6 +239,8 @@ def test_liouvillian_support_blocks_repeat_one_table():
     for k in range(d):
         assert np.array_equal(same_c[:, off, k], same_c[:, off, 0]), k
         assert np.array_equal(same_r[:, off, k], same_r[:, off, 0]), k
+    same_c_table, same_r_table = same_c[..., 0], same_r[..., 0]
+    assert np.array_equal(same_r_table[:, off], -same_c_table.swapaxes(-1, -2)[:, off])
 
 
 def test_pair_phases_are_the_principal_log_of_w_pairs():
