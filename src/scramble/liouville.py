@@ -5,8 +5,10 @@ generator is W = -i (H x I - I x H^T) and vec(rho_dot) = W vec(rho). All
 rate channels are evaluated in the instantaneous product eigenbasis of the
 marginals, with eigenvalues sorted descending; the marginal eigenvalue
 attached to Liouville index m = (r, c) is read off the row part r. W is
-built once per sample, but the rate sums read only one d x d table of it:
-off its masked diagonals, W's support is d copies each of it and of -it^T.
+built once per rate call and refilled in place on its support for each
+later sub-stack of samples, but the rate sums read only one d x d table of
+it: off its masked diagonals, W's support is d copies each of it and of
+-it^T.
 """
 
 from __future__ import annotations
@@ -83,15 +85,25 @@ def build_liouvillian(h: ComplexMatrix, basis: ComplexMatrix | None = None) -> C
     h = check_hermitian(h, "Hamiltonian")
     d = h.shape[-1]
     h_rot = h if basis is None else dagger(basis) @ h @ basis
-    # w[r, c, r', c'] = -i (H'[r, r'] delta_cc' - delta_rr' H'[c', c]), filled
-    # on its 2 d^3 support instead of through two d^4 krons. The index arrays
-    # are split by a slice, so numpy puts their axis first: values broadcast
-    # against (d, ..., d, d).
-    i = np.arange(d)
     w = np.zeros(h_rot.shape[:-2] + (d, d, d, d), dtype=complex)
-    w[..., :, i, :, i] = -1j * h_rot
-    w[..., i, :, i, :] += 1j * h_rot.swapaxes(-1, -2)
+    _fill_liouvillian(w, h_rot)
     return w.reshape(h_rot.shape[:-2] + (d * d, d * d))
+
+
+def _fill_liouvillian(w: np.ndarray, h_rot: ComplexMatrix) -> None:
+    """Write W of each H' in a (..., d, d) stack onto a (..., d, d, d, d) buffer.
+
+    w[r, c, r', c'] = -i (H'[r, r'] delta_cc' - delta_rr' H'[c', c]), filled
+    on its 2 d^3 support instead of through two d^4 krons. Entries off that
+    support must be zero already, as they are for any earlier W of the same
+    d: the same-row block is cleared first, so a buffer that held another
+    H's W ends bitwise equal to a fresh one.
+    """
+    same_c = np.einsum("...rcsc->...rsc", w)  # writeable views: w[r, c, r', c]
+    same_r = np.einsum("...rcrk->...rck", w)  # and w[r, c, r, c']
+    same_r[...] = 0.0
+    same_c[...] = (-1j * h_rot)[..., np.newaxis]
+    same_r += (1j * h_rot.swapaxes(-1, -2))[..., np.newaxis, :, :]
 
 
 def _log_marginal(evals: np.ndarray, vecs: ComplexMatrix) -> ComplexMatrix:
@@ -111,7 +123,7 @@ def mutual_information_rate(h: ComplexMatrix, rho_s: DensityMatrix, part: Bipart
     ``rho_s`` is one state, giving a float, or a (..., d, d) stack, giving an
     array over the leading axes.
     """
-    h = as_complex_matrix(h)
+    h = check_hermitian(h, "Hamiltonian")
     rho_s = check_density_matrix(rho_s, "rho_S")
     if rho_s.shape[-2:] != (part.dim, part.dim) or h.shape != rho_s.shape[-2:]:
         raise ValueError("dimension mismatch between H, state, and partition")
@@ -145,19 +157,18 @@ def _pair_phases(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mag, phase
 
 
-def _w_sums(h: ComplexMatrix, basis: ComplexMatrix, a_rows: np.ndarray, b_rows: np.ndarray):
-    """(S_dot_A, S_E^A, S_dot_B, S_E^B) of each sample of a (T, d, d) stack of bases.
+def _w_sums(w: np.ndarray, a_rows: np.ndarray, b_rows: np.ndarray):
+    """(S_dot_A, S_E^A, S_dot_B, S_E^B) of each sample of a (T, d, d, d, d) stack of W.
 
-    The only code that builds W: one (T, d^2, d^2) stack, freed on return.
-    ``a_rows`` and ``b_rows`` are the (T, d) marginal weights of each row index.
-    W's support is two (d, d, d) blocks of d copies of one d x d table each:
-    same column, W[(r, c), (r', c)] = -i H'[r, r'], and same row,
-    W[(r, c), (r, c')] = i H'[c', c], off the masked diagonals r = r' and
-    c = c'. The same-row table is minus the transpose of the same-column one,
-    so the sums run on the c = 0 table alone.
+    ``w[t]`` is W of sample t as w[r, c, r', c']; ``a_rows`` and ``b_rows``
+    are the (T, d) marginal weights of each row index. W's support is two
+    (d, d, d) blocks of d copies of one d x d table each: same column,
+    W[(r, c), (r', c)] = -i H'[r, r'], and same row, W[(r, c), (r, c')] =
+    i H'[c', c], off the masked diagonals r = r' and c = c'. The same-row
+    table is minus the transpose of the same-column one, so the sums read the
+    c = 0 same-column table alone.
     """
-    d = basis.shape[-1]
-    w = build_liouvillian(h, basis).reshape(basis.shape[:-2] + (d, d, d, d))
+    d = w.shape[-1]
     # Same column, [r, r']: the weights w(r') enter as the prefactor and as
     # the real shift log(w(r')/w(r)), which keeps the principal branch; the
     # d columns give d equal copies. Same row, [c, c']: the weight ratio is 1,
@@ -202,11 +213,15 @@ def entropy_production_rates(h: ComplexMatrix, rho_s: DensityMatrix, part: Bipar
     slack8 = bound_rhs - Idot. ``rho_s`` is one state, giving floats, or a
     (..., d, d) stack, giving arrays over the leading axes.
     Validation, Idot, the marginal eigensystems and the coefficients are taken
-    once over the whole stack; W, with d^4 entries per sample, is built only
-    for sub-stacks of the flattened leading axes cut by qdense.time_chunks,
-    and the pair sums take d^2 entries of it per sample.
+    once over the whole stack. W, with d^4 entries per sample, is held for
+    one sub-stack of the flattened leading axes at a time, as cut by
+    qdense.time_chunks: build_liouvillian allocates it for the first, and
+    each later sub-stack refills only W's 2 d^3 support in place on a
+    leading slice of that array. The pair sums take d^2 entries of W per
+    sample.
     """
     i_dot = mutual_information_rate(h, rho_s, part)  # validates h, rho_s and part
+    h = np.asarray(h, dtype=complex)
     rho_s = np.asarray(rho_s, dtype=complex)
     d = part.dim
     lead = rho_s.shape[:-2]
@@ -215,10 +230,19 @@ def entropy_production_rates(h: ComplexMatrix, rho_s: DensityMatrix, part: Bipar
     a_rows = np.repeat(wa, part.dim_b, axis=-1)
     b_rows = np.tile(wb, part.dim_a)
 
-    # W holds d^4 entries per state: one W per sub-stack of the flattened
-    # leading axes, each freed inside _w_sums before the next is built.
+    # W holds d^4 entries per state, and its support pattern depends only on
+    # d: one W for the first sub-stack of the flattened leading axes, whose
+    # support each later (no larger) sub-stack overwrites on a leading slice.
     bases, a_flat, b_flat = basis.reshape(-1, d, d), a_rows.reshape(-1, d), b_rows.reshape(-1, d)
-    sums = [_w_sums(h, bases[c], a_flat[c], b_flat[c]) for c in time_chunks(len(bases), d**4)]
+    chunks = time_chunks(len(bases), d**4)
+    w = build_liouvillian(h, bases[chunks[0]]).reshape(-1, d, d, d, d)
+    sums = []
+    for c in chunks:
+        sub = w[: c.stop - c.start]
+        if c.start:
+            _fill_liouvillian(sub, dagger(bases[c]) @ h @ bases[c])
+        sums.append(_w_sums(sub, a_flat[c], b_flat[c]))
+    del w, sub  # W is the peak: free it before the coefficients' temporaries
     s_dot_a, s_e_a, s_dot_b, s_e_b = (np.concatenate(s).reshape(lead) for s in zip(*sums))
 
     abs_rho = np.abs(dagger(basis) @ rho_s @ basis)

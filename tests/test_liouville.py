@@ -27,6 +27,7 @@ from scramble.liouville import (
 from scramble.qdense import (
     RANK_TOL,
     Bipartition,
+    dagger,
     eigh,
     partial_trace,
     random_hermitian,
@@ -243,6 +244,21 @@ def test_liouvillian_support_blocks_repeat_one_table():
     assert np.array_equal(same_r_table[:, off], -same_c_table.swapaxes(-1, -2)[:, off])
 
 
+def test_refilled_liouvillian_equals_a_fresh_one():
+    # entropy_production_rates refills one W buffer per sub-stack. Over a
+    # buffer holding another basis's W, the refill must give W bit for bit,
+    # also on the same-row block and the r = r', c = c' overlap, which the
+    # rate sums never read.
+    rng = seeded_rng(920)
+    d = 8
+    h = random_hermitian(d, rng)
+    bases = np.stack([np.kron(haar_unitary(2, rng), haar_unitary(4, rng)),
+                      np.kron(haar_unitary(4, rng), haar_unitary(2, rng))])
+    buffer = build_liouvillian(h, bases[::-1]).reshape(2, d, d, d, d)
+    liouville._fill_liouvillian(buffer, dagger(bases) @ h @ bases)
+    assert np.array_equal(buffer.reshape(2, d * d, d * d), build_liouvillian(h, bases))
+
+
 def test_pair_phases_are_the_principal_log_of_w_pairs():
     # W is skew-Hermitian, so W/W^T is a pure phase: the kernel's |arg(-W^2)|
     # must be |log(W/W^T)| on the principal branch, whose real part is
@@ -283,10 +299,28 @@ def test_pair_phases_give_pi_at_the_cut_and_skip_sub_cutoff_pairs():
     assert not mag[1, 3].any() and not mag[3, 1].any()
 
 
+def test_entropy_production_rates_builds_one_w_per_call(monkeypatch):
+    # At 2|3 W holds one state per sub-stack: five states give five
+    # sub-stacks, and only the first builds W; the rest refill it in place.
+    part = Bipartition(2, 3)
+    rng = seeded_rng(921)
+    h = random_hermitian(part.dim, rng)
+    stack = np.stack([random_density(part.dim, rng) for _ in range(5)])
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return build_liouvillian(*args)
+
+    monkeypatch.setattr(liouville, "build_liouvillian", counted)
+    entropy_production_rates(h, stack, part)
+    assert len(calls) == 1
+
+
 def test_entropy_production_rates_peak_memory_stays_near_w():
     # W at 2|3 is (32^2)^2 complex entries, 16 MiB; the rate sums need only
-    # its d^3 support blocks on top of it. A stack builds one W per state,
-    # each freed before the next is built, so five states peak like one.
+    # its d^3 support blocks on top of it. A stack reuses one W, refilled in
+    # place for each state, so five states peak like one.
     part = Bipartition(2, 3)
     rng = seeded_rng(917)
     h = random_hermitian(part.dim, rng)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from _oracles import random_density
 from scramble import entropy, liouville, qdense, scrambling
 from scramble.entropy import (
     mutual_information,
@@ -16,6 +17,7 @@ from scramble.liouville import (
     bound8_report,
     build_liouvillian,
     entropy_production_rates,
+    mutual_information_rate,
 )
 from scramble.qdense import (
     Bipartition,
@@ -107,6 +109,23 @@ def test_reports_reject_bad_time_grids(report, times):
 def test_hermiticity_is_checked_by_one_helper(check):
     with pytest.raises(ValueError, match="not Hermitian: max deviation 1.000e-01"):
         check(_non_hermitian())
+
+
+NON_HERMITIAN_H = {
+    "imaginary_shift": H + 0.3j * np.eye(PART.dim),
+    "real_antisymmetric": H + 0.2 * (np.eye(PART.dim, k=1) - np.eye(PART.dim, k=-1)),
+}
+
+
+@pytest.mark.parametrize("h", NON_HERMITIAN_H)
+@pytest.mark.parametrize("rate", [mutual_information_rate, entropy_production_rates])
+def test_rate_entry_points_refuse_a_non_hermitian_hamiltonian(rate, h):
+    # i c I commutes with every state, so without the check the rate would
+    # silently equal that of H; a real antisymmetric part would surface only
+    # as an imaginary residue.
+    rho = random_density(PART.dim, seeded_rng(12))
+    with pytest.raises(ValueError, match="Hamiltonian not Hermitian"):
+        rate(NON_HERMITIAN_H[h], rho, PART)
 
 
 @pytest.fixture
