@@ -10,7 +10,9 @@ a state it derived itself.
 A time grid is evaluated as a leading stack axis: the validators, eigh,
 partial_trace and the unitaries take (..., d, d) arrays and act slice by
 slice. Grids are cut into chunks (time_chunks) so that the largest stacked
-array stays within a fixed number of complex entries.
+array stays within a fixed number of complex entries. unitary_family forms
+a chunk's (T, d, d) stack of U(t) as one (T d, d) @ (d, d) product. A ket
+trajectory psi(t), d entries per sample, is held for the whole grid.
 """
 
 from __future__ import annotations
@@ -200,7 +202,9 @@ def unitary_family(evals: np.ndarray, vecs: ComplexMatrix) -> Callable[..., Comp
 
     def u_of_t(t) -> ComplexMatrix:
         phases = np.exp(-1j * evals * np.asarray(t, dtype=float)[..., np.newaxis])
-        return (vecs * phases[..., np.newaxis, :]) @ vecs_h
+        scaled = vecs * phases[..., np.newaxis, :]
+        # One BLAS product on the (T d, d) reshape, not T slice products.
+        return (scaled.reshape(-1, vecs.shape[-1]) @ vecs_h).reshape(scaled.shape)
 
     return u_of_t
 

@@ -112,8 +112,10 @@ def bound_report(
 
     ``h_or_unitary`` is either a Hermitian generator (U(t) = exp(-iHt)) or a
     callable that maps a 1-D array of T times to the (T, d, d) stack of U(t).
-    The grid is evaluated in chunks of times (qdense.time_chunks) and must
-    start at t = 0, so the averaged-OTOC baseline is its own first sample.
+    U(t) and the OTOCs are evaluated in chunks of times (qdense.time_chunks);
+    the kets psi(t) = U(t) psi_0 of the whole grid are kept, and each entropy
+    takes them in one call, so a bad ket is named by its grid index. The grid
+    must start at t = 0, so the averaged-OTOC baseline is its own first sample.
     Returns the channels keyed by their CSV column names: t, I, I2, Obar,
     deltaO, slack9 = I - deltaO, and deltaMO when ``include_modified`` is set;
     deltaMO = 1 - M(t)/M(0) with M = modified_otoc (O_1 = |0><phi| on the
@@ -135,8 +137,7 @@ def bound_report(
     psi_0 = col / np.linalg.norm(col)
     u_of_t = _unitary_supplier(h_or_unitary)
     n, d = times.size, part.dim
-    mi = np.empty(n)
-    mi2 = np.empty(n)
+    kets = np.empty((n, part.dim_a, part.dim_b), dtype=complex)
     obar = np.empty(n)
     mo = np.empty(n) if include_modified else None
     for chunk in time_chunks(n, d * d):
@@ -144,12 +145,12 @@ def bound_report(
         want = (chunk.stop - chunk.start, d, d)
         if np.shape(u) != want:
             raise ValueError(f"U(t) of {want[0]} times has shape {np.shape(u)}, expected {want}")
-        kets = (u @ psi_0).reshape(-1, part.dim_a, part.dim_b)
-        mi[chunk] = mutual_information(kets, part)
-        mi2[chunk] = renyi2_mutual_information(kets, part)
+        kets[chunk] = (np.reshape(u, (-1, d)) @ psi_0).reshape(-1, part.dim_a, part.dim_b)
         obar[chunk] = averaged_otoc(part, u)
         if mo is not None:
             mo[chunk] = modified_otoc(part, u)
+    mi = mutual_information(kets, part)
+    mi2 = renyi2_mutual_information(kets, part)
     delta_obar = obar[0] - obar
     table = {"t": times, "I": mi, "I2": mi2, "Obar": obar, "deltaO": delta_obar,
              "slack9": mi - delta_obar}

@@ -186,6 +186,23 @@ def test_bound_report_generator_and_callable_agree():
         np.testing.assert_allclose(rep_h[name], rep_f[name], atol=1e-12)
 
 
+def test_bound_report_names_a_bad_ket_by_its_grid_index():
+    # 600 samples at 1|2 span three U(t) chunks; grid sample 300 is the 44th
+    # of the second. A supplier that breaks unitarity there must be reported
+    # at the sample's place on the whole grid.
+    part = Bipartition(1, 2)
+    times = np.linspace(0.0, 2.0, 600)
+    family = unitary_family(*eigh(random_hermitian(part.dim, seeded_rng(604))))
+
+    def broken(t):
+        u = family(t)
+        u[t == times[300]] *= 1.1
+        return u
+
+    with pytest.raises(ValueError, match=r"ket\[300\] squared norm 1\.21\d* differs from 1"):
+        bound_report(broken, part, zero_state(3), times)
+
+
 def test_bound_report_channel_consistency():
     part = Bipartition(1, 2)
     h = random_hermitian(8, seeded_rng(603))
