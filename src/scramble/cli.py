@@ -42,10 +42,22 @@ COLUMNS = ("t", "I", "I2", "Obar", "deltaO", "deltaMO", "Idot", "SdotA", "SdotB"
 # Hamiltonian trajectory (bound8) slack9 is a diagnostic only.
 ASSERTED_SLACK = {"syk": "slack9", "circuit": "slack9", "bound8": "slack8"}
 BUILTIN_CIRCUITS = {"scrambler3": scrambler_preset, "entangler2": entangler2_preset}
-# Top-level config fields: those of every kind, then each kind's own, keyed by kind.
-COMMON_FIELDS = ("kind", "partition", "time_grid", "output", "seed")
-KIND_FIELDS = {"syk": ("syk", "workers"), "circuit": ("circuit", "modified_otoc"),
-               "bound8": ("model", "delta")}
+# Writing the CSV holds about 1.3 kB per row at its peak: some 1.3 GB at this
+# many samples, which validate refuses before any allocation.
+MAX_SAMPLES = 10**6
+# Field tables, one per JSON object: each field's type, (type, default) for an
+# optional field, or the table of a nested object. The model's own table is
+# MODEL_FIELDS[type], read once its type is known.
+COMMON_FIELDS = {"kind": str, "partition": {"n_a": int, "n_b": int}, "output": str, "seed": int,
+                 "time_grid": {"start": float, "stop": float, "samples": int}}
+KIND_FIELDS = {
+    "syk": {"syk": {"n_majorana": int, "q": int, "j_squared": float, "realizations": (int, 300)},
+            "workers": (int, 1)},
+    "circuit": {"circuit": str, "modified_otoc": (bool, None)},  # None: true when n_a == 1
+    "bound8": {"model": dict, "delta": (float, DEFAULT_DELTA)},
+}
+CIRCUIT_FIELDS = {"n_qubits": int, "gates": list}
+GATE_FIELDS = {"name": str, "targets": list, "angle": (float, None), "matrix": (list, None)}
 
 
 class ConfigError(ValueError):
@@ -61,20 +73,6 @@ def _expect(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _known_fields(block: dict, allowed, where: str = "") -> None:
-    for key in block:
-        path = f"{where}.{key}" if where else key
-        _expect(key in allowed, f"{path}: unknown field")
-
-
-def _block(value, path: str, allowed=None) -> dict:
-    """``value`` as a JSON object with no field outside ``allowed`` (None: unchecked)."""
-    _expect(isinstance(value, dict), f"{path}: missing or not an object")
-    if allowed is not None:
-        _known_fields(value, allowed, path)
-    return value
-
-
 def _real(value):
     """A JSON integer as a float, infinite past the float range; others unchanged."""
     if type(value) is int:
@@ -82,15 +80,31 @@ def _real(value):
     return value
 
 
-def _field(data: dict, name: str, kind: type, where: str = "", required: bool = True, default=None):
+def _field(data: dict, name: str, kind: type, where: str = ""):
+    """The required field ``name`` of ``data``, of type ``kind``; a float must be finite."""
     path = f"{where}.{name}" if where else name
-    if name not in data:
-        _expect(not required, f"{path}: missing required field")
-        return default
+    _expect(name in data, f"{path}: missing required field")
     value = _real(data[name]) if kind is float else data[name]
     _expect(type(value) is kind, f"{path}: expected {kind.__name__}")
     _expect(kind is not float or math.isfinite(value), f"{path}: expected a finite number")
     return value
+
+
+def _read(data, table: dict, where: str = "") -> dict:
+    """The fields of JSON object ``data`` as ``table`` types them; no key outside it."""
+    _expect(isinstance(data, dict), f"{where}: missing or not an object")
+    prefix = f"{where}." if where else ""
+    for key in data:
+        _expect(key in table, f"{prefix}{key}: unknown field")
+    values = {}
+    for name, spec in table.items():
+        if isinstance(spec, dict):
+            values[name] = _read(data.get(name), spec, prefix + name)
+        elif isinstance(spec, tuple):
+            values[name] = _field(data, name, spec[0], where) if name in data else spec[1]
+        else:
+            values[name] = _field(data, name, spec, where)
+    return values
 
 
 def _json_object(text: str) -> dict:
@@ -113,10 +127,10 @@ def _read_text(path: str, what: str, shown: str) -> str:
         raise ConfigError(f"{what} not readable: {shown}: {exc}") from None
 
 
-def _matrix(rows, path: str) -> np.ndarray:
+def _matrix(rows: list, path: str) -> np.ndarray:
     """A 4x4 complex matrix from nested [re, im] pairs of numbers read as by _field."""
     # A malformed row or cell is dropped here, so the count of parts falls short.
-    rows = rows if type(rows) is list and len(rows) == 4 else []
+    rows = rows if len(rows) == 4 else []
     cells = [c for row in rows if type(row) is list and len(row) == 4 for c in row]
     parts = [_real(x) for c in cells if type(c) is list and len(c) == 2 for x in c]
     _expect(len(parts) == 32 and all(type(x) is float for x in parts),
@@ -125,13 +139,11 @@ def _matrix(rows, path: str) -> np.ndarray:
 
 
 def _gate_from_json(obj, where: str) -> Gate:
-    _block(obj, where, ("name", "targets", "angle", "matrix"))
-    name = _field(obj, "name", str, where)
-    targets = _field(obj, "targets", list, where)
-    _expect(all(type(t) is int for t in targets), f"{where}.targets: expected a list of qubit indices")
-    angle = _field(obj, "angle", float, where, required=False)
-    matrix = _matrix(obj["matrix"], f"{where}.matrix") if "matrix" in obj else None
-    return Gate(name.upper(), tuple(targets), angle, matrix)
+    gate = _read(obj, GATE_FIELDS, where)
+    _expect(all(type(t) is int for t in gate["targets"]),
+            f"{where}.targets: expected a list of qubit indices")
+    matrix = None if gate["matrix"] is None else _matrix(gate["matrix"], f"{where}.matrix")
+    return Gate(gate["name"].upper(), tuple(gate["targets"]), gate["angle"], matrix)
 
 
 def parse_circuit_json(text: str) -> CircuitSpec:
@@ -139,11 +151,9 @@ def parse_circuit_json(text: str) -> CircuitSpec:
 
     Errors are ValueErrors that start with the offending field's path.
     """
-    data = _json_object(text)
-    _known_fields(data, ("n_qubits", "gates"))
-    n_qubits = _field(data, "n_qubits", int)
-    gates = _field(data, "gates", list)
-    return CircuitSpec(n_qubits, [_gate_from_json(g, f"gates[{i}]") for i, g in enumerate(gates)])
+    data = _read(_json_object(text), CIRCUIT_FIELDS)
+    return CircuitSpec(data["n_qubits"],
+                       [_gate_from_json(g, f"gates[{i}]") for i, g in enumerate(data["gates"])])
 
 
 @dataclass
@@ -160,17 +170,6 @@ class ExperimentConfig:
     modified: bool = False
     model: dict = field(default_factory=dict)
     delta: float = DEFAULT_DELTA
-
-
-def _parse_time_grid(data: dict) -> np.ndarray:
-    grid = _block(data.get("time_grid"), "time_grid", ("start", "stop", "samples"))
-    start = _field(grid, "start", float, "time_grid")
-    stop = _field(grid, "stop", float, "time_grid")
-    samples = _field(grid, "samples", int, "time_grid")
-    _expect(start == 0.0, "time_grid.start: first sample must be at t = 0")
-    _expect(samples >= 2, "time_grid.samples: need at least 2 samples")
-    _expect(stop > start, "time_grid.stop: grid must be strictly increasing")
-    return np.linspace(start, stop, samples)
 
 
 def _resolve_circuit(ref: str, base_dir: str) -> CircuitSpec:
@@ -190,62 +189,51 @@ def load_config(path: str) -> ExperimentConfig:
     data = _json_object(_read_text(path, "config file", path))
     kind = _field(data, "kind", str)
     _expect(kind in KIND_FIELDS, f"kind: must be one of {list(KIND_FIELDS)}")
-    _known_fields(data, COMMON_FIELDS + KIND_FIELDS[kind])
-    part_block = _block(data.get("partition"), "partition", ("n_a", "n_b"))
-    n_a = _field(part_block, "n_a", int, "partition")
-    n_b = _field(part_block, "n_b", int, "partition")
+    fields = _read(data, {**COMMON_FIELDS, **KIND_FIELDS[kind]})
     try:
-        partition = Bipartition(n_a, n_b)
+        partition = Bipartition(**fields["partition"])
     except ValueError as exc:
         raise ConfigError(f"partition: {exc}") from None
 
-    times = _parse_time_grid(data)
-    output = _field(data, "output", str)
-    seed = _field(data, "seed", int)
-    _expect(seed >= 0, "seed: must be a non-negative integer")
+    grid = fields["time_grid"]
+    _expect(grid["start"] == 0.0, "time_grid.start: first sample must be at t = 0")
+    _expect(2 <= grid["samples"] <= MAX_SAMPLES,
+            f"time_grid.samples: need at least 2 samples and at most {MAX_SAMPLES}")
+    _expect(grid["stop"] > grid["start"], "time_grid.stop: grid must be strictly increasing")
+    _expect(fields["seed"] >= 0, "seed: must be a non-negative integer")
     cfg = ExperimentConfig(
-        kind=kind, partition=partition, times=times, output=output, seed=seed, raw=data,
+        kind=kind, partition=partition, output=fields["output"], seed=fields["seed"], raw=data,
+        times=np.linspace(grid["start"], grid["stop"], grid["samples"]),
     )
-    base_dir = os.path.dirname(os.path.abspath(path))
 
     if kind == "syk":
-        block = _block(data.get("syk"), "syk", ("n_majorana", "q", "j_squared", "realizations"))
-        n_majorana = _field(block, "n_majorana", int, "syk")
-        q = _field(block, "q", int, "syk")
-        j_squared = _field(block, "j_squared", float, "syk")
-        realizations = _field(block, "realizations", int, "syk", required=False, default=300)
         try:
-            cfg.syk = SykConfig(n_majorana=n_majorana, q=q, j_squared=j_squared,
-                                seed=seed, realizations=realizations)
+            cfg.syk = SykConfig(**fields["syk"], seed=cfg.seed)
         except ValueError as exc:
             raise ConfigError(f"syk: {exc}") from None
         _expect(partition.n_qubits == cfg.syk.n_qubits,
                 f"partition: n_a + n_b = {partition.n_qubits} does not match "
                 f"the {cfg.syk.n_qubits}-qubit SYK register")
-        cfg.workers = _field(data, "workers", int, required=False, default=1)
+        cfg.workers = fields["workers"]
         _expect(cfg.workers >= 1, "workers: must be at least 1")
     elif kind == "circuit":
-        cfg.circuit = _resolve_circuit(_field(data, "circuit", str), base_dir)
+        cfg.circuit = _resolve_circuit(fields["circuit"], os.path.dirname(os.path.abspath(path)))
         _expect(partition.n_qubits == cfg.circuit.n_qubits,
                 f"partition: n_a + n_b = {partition.n_qubits} does not match "
                 f"the {cfg.circuit.n_qubits}-qubit circuit")
-        cfg.modified = _field(data, "modified_otoc", bool, required=False,
-                              default=partition.n_a == 1)
+        modified = fields["modified_otoc"]
+        cfg.modified = partition.n_a == 1 if modified is None else modified
         _expect(not (cfg.modified and partition.n_a != 1),
                 "modified_otoc: requires a single-qubit A subsystem")
     elif kind == "bound8":
-        block = _block(data.get("model"), "model")  # its fields depend on its type
-        mtype = _field(block, "type", str, "model")
+        mtype = _field(fields["model"], "type", str, "model")
         _expect(mtype in MODEL_FIELDS, f"model.type: must be one of {list(MODEL_FIELDS)}")
-        _known_fields(block, ("type", *MODEL_FIELDS[mtype]), "model")
-        cfg.model = dict(block)
-        for key, default in MODEL_FIELDS[mtype].items():
-            cfg.model[key] = _field(block, key, float, "model", required=False, default=default)
-        cfg.delta = _field(data, "delta", float, required=False, default=DEFAULT_DELTA)
+        cfg.model = _read(fields["model"], {"type": str, **MODEL_FIELDS[mtype]}, "model")
+        cfg.delta = fields["delta"]
         _expect(0.0 < cfg.delta < 1.0, "delta: must be in (0, 1)")
-        # The regularized start's smallest marginal eigenvalue is delta / d_X,
-        # and eigh may return it a few ulp lower: keep it twice RANK_TOL.
-        floor = 2 * RANK_TOL * max(partition.dim_a, partition.dim_b)
+        # The regularized start's smallest marginal eigenvalue is delta / d_X, and eigh
+        # may return it a few ulp lower: keep it twice RANK_TOL (inf past float range).
+        floor = 2 * RANK_TOL * _real(max(partition.dim_a, partition.dim_b))
         _expect(cfg.delta >= floor, f"delta: must be at least {floor!r} at this partition, "
                 "or a marginal of the regularized start is rank deficient")
     return cfg
@@ -308,18 +296,10 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dict, str]:
 
     initial = _zero_state(cfg.partition.n_qubits)
     if cfg.kind == "syk":
-        workers = cfg.workers
-        env = os.environ.get("SCRAMBLE_WORKERS")
-        if env is not None:
-            try:
-                workers = int(env)
-            except ValueError:
-                raise ConfigError(f"SCRAMBLE_WORKERS: not an integer: {env!r}") from None
-            _expect(workers >= 1, "SCRAMBLE_WORKERS: must be at least 1")
         reports, table = syk_trajectory(cfg.syk, cfg.partition, initial, cfg.times,
-                                        workers=workers)
+                                        workers=cfg.workers)
         summary["seeds"]["disorder_streams"] = "(base, realization_index)"
-        summary["workers"] = workers
+        summary["workers"] = cfg.workers
         summary["violations"]["per_realization_slack9"] = int(
             sum(np.count_nonzero(r["slack9"] < SLACK_TOL) for r in reports)
         )
@@ -395,7 +375,7 @@ def cmd_run(ref: str) -> int:
         summary, csv_path = run_experiment(cfg)
         with _writing(json_path):
             _rewrite(json_path, json.dumps(summary, indent=2) + "\n")
-    except ConfigError as exc:  # SCRAMBLE_WORKERS and the output paths are checked at run time
+    except ConfigError as exc:  # the output paths are checked at run time
         return _config_error(exc)
     except (AssertionViolation, ValueError) as exc:
         # A ValueError here is a library check failing mid-run (an imaginary

@@ -137,8 +137,8 @@ def ising_chain(n_qubits: int, j: float, hx: float) -> ComplexMatrix:
     return _pauli_sum(n_qubits, x, z, values)
 
 
-# bound8 model types and the defaults of their numeric fields.
-MODEL_FIELDS = {"random": {}, "ising_chain": {"j": 1.0, "hx": 0.7}}
+# bound8 model types and the (type, default) of each of their fields.
+MODEL_FIELDS = {"random": {}, "ising_chain": {"j": (float, 1.0), "hx": (float, 0.7)}}
 
 
 def bound8_hamiltonian(model: dict, n_qubits: int, seed: int) -> ComplexMatrix:

@@ -70,24 +70,21 @@ def _read_csv(path: Path) -> dict[str, np.ndarray]:
     return {name: data[:, k] for k, name in enumerate(names)}
 
 
-def _run_preset(name: str, workdir: Path, env_workers: int | None = None):
-    """Run a shipped preset in ``workdir``; return (csv bytes, columns, summary, seconds)."""
+def _run_preset(name: str, workdir: Path, workers: int | None = None):
+    """Run a shipped preset in ``workdir``; return (csv bytes, columns, summary, seconds).
+
+    With ``workers`` the run reads a copy of the preset that sets that many.
+    """
     workdir.mkdir(parents=True, exist_ok=True)
-    prev = os.environ.get("SCRAMBLE_WORKERS")
-    if env_workers is None:
-        os.environ.pop("SCRAMBLE_WORKERS", None)
-    else:
-        os.environ["SCRAMBLE_WORKERS"] = str(env_workers)
-    try:
-        with _cwd(workdir):
-            started = time.perf_counter()
-            code = cli.main(["run", name])
-            seconds = time.perf_counter() - started
-    finally:
-        if prev is None:
-            os.environ.pop("SCRAMBLE_WORKERS", None)
-        else:
-            os.environ["SCRAMBLE_WORKERS"] = prev
+    ref = name
+    if workers is not None:
+        ref = str(workdir / f"{name}.json")
+        preset = json.loads(Path(_preset_path(name)).read_text())
+        Path(ref).write_text(json.dumps({**preset, "workers": workers}))
+    with _cwd(workdir):
+        started = time.perf_counter()
+        code = cli.main(["run", ref])
+        seconds = time.perf_counter() - started
     assert code == 0
     csv_path = workdir / "out" / f"{name}.csv"
     summary = json.loads((workdir / "out" / f"{name}.json").read_text())
@@ -303,7 +300,8 @@ def test_criterion_9_bitwise_determinism_fast_presets(tmp_path):
 def test_criterion_9_bitwise_determinism_across_worker_counts(syk_ci_run, tmp_path):
     # the full-length disorder preset shares this code path and differs only in
     # realization count; it is excluded here purely for wall time
-    rerun, *_ = _run_preset("fig3-syk-ci", tmp_path, env_workers=3)
+    rerun, _, summary, _ = _run_preset("fig3-syk-ci", tmp_path, workers=3)
+    assert (syk_ci_run["summary"]["workers"], summary["workers"]) == (1, 3)
     assert rerun == syk_ci_run["bytes"]
     print("criterion 9: disorder preset byte-identical across 1 vs 3 workers")
 

@@ -220,15 +220,15 @@ def test_run_circuit_file_reference_relative_to_config(tmp_path):
 # --- determinism ----------------------------------------------------------------
 
 
-def test_csv_bitwise_determinism_across_runs_and_workers(tmp_path, monkeypatch):
+def test_csv_bitwise_determinism_across_runs_and_workers(tmp_path):
     cfg = base_syk_config(tmp_path)
     path = write_config(tmp_path, cfg)
     cli.main(["run", path])
     first = Path(cfg["output"] + ".csv").read_bytes()
     cli.main(["run", path])
     assert Path(cfg["output"] + ".csv").read_bytes() == first
-    monkeypatch.setenv("SCRAMBLE_WORKERS", "2")
-    cli.main(["run", path])
+    assert json.loads(Path(cfg["output"] + ".json").read_text())["workers"] == 1
+    cli.main(["run", write_config(tmp_path, {**cfg, "workers": 2}, "pooled.json")])
     assert Path(cfg["output"] + ".csv").read_bytes() == first
     summary = json.loads(Path(cfg["output"] + ".json").read_text())
     assert summary["workers"] == 2
@@ -244,13 +244,6 @@ def test_rerun_rewrites_summary_in_place(tmp_path):
     text = summary.read_text()
     assert json.loads(text)["kind"] == "circuit" and text.endswith("}\n")
     assert summary.stat().st_ino == inode
-
-
-def test_scramble_workers_env_must_be_integer(tmp_path, monkeypatch, capsys):
-    cfg = base_syk_config(tmp_path)
-    monkeypatch.setenv("SCRAMBLE_WORKERS", "many")
-    assert cli.main(["run", write_config(tmp_path, cfg)]) == 2
-    assert "SCRAMBLE_WORKERS" in capsys.readouterr().err
 
 
 def test_output_under_a_regular_file_exits_2_before_any_work(tmp_path, capsys, monkeypatch):
@@ -451,6 +444,42 @@ def test_bound8_delta_floor_is_twice_the_rank_tolerance(tmp_path, capsys, n_a, n
     assert cli.main(["run", write_config(tmp_path, cfg)]) == 0
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("samples", [10**12, 10**400], ids=["1e12", "1e400"])
+def test_huge_time_grid_is_a_field_error(tmp_path, capsys, command, samples):
+    # No machine holds either grid: the field is refused before np.linspace
+    # is asked to allocate it.
+    cfg = base_circuit_config(tmp_path, time_grid={"start": 0.0, "stop": 1.0, "samples": samples})
+    assert cli.main([command, write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error: time_grid.samples: ")
+
+
+def test_huge_bound8_partition_is_a_delta_error(tmp_path, capsys):
+    # 2**2000 is past the float range, so the delta floor is infinite: no
+    # delta in (0, 1) can regularize that start.
+    cfg = bound8_config(tmp_path)
+    cfg["partition"] = {"n_a": 2000, "n_b": 1}
+    assert cli.main(["validate", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error: delta: must be at least inf ")
+
+
+def test_model_fields_are_typed_with_defaults(tmp_path, capsys, monkeypatch):
+    # A model row may type a field int, as a trapped-ion chain's ion count would.
+    fields = {**models.MODEL_FIELDS, "toy": {"ions": (int, 5), "hx": (float, 0.7)}}
+    for module in (models, cli):
+        monkeypatch.setattr(module, "MODEL_FIELDS", fields)
+    cfg = bound8_config(tmp_path)
+    cfg["model"] = {"type": "toy", "hx": 1}
+    loaded = cli.load_config(write_config(tmp_path, cfg))
+    assert loaded.model == {"type": "toy", "ions": 5, "hx": 1.0}
+    assert type(loaded.model["hx"]) is float
+    for model, needle in (({"type": "toy", "ions": 2.0}, "model.ions: expected int"),
+                          ({"type": "toy", "j": 1.0}, "model.j: unknown field")):
+        cfg["model"] = model
+        assert cli.main(["validate", write_config(tmp_path, cfg)]) == 2
+        assert capsys.readouterr().err == f"config error: {needle}\n"
+
+
 def test_missing_config_file(capsys):
     assert cli.main(["validate", "no-such-config"]) == 2
     assert "not found" in capsys.readouterr().err
@@ -618,17 +647,19 @@ def test_library_value_error_exits_3_without_traceback(tmp_path, capsys, monkeyp
 def test_pooled_library_value_error_exits_3_without_traceback(tmp_path, capsys, monkeypatch):
     # The same mid-run ValueError raised inside forked workers reaches cmd_run
     # as itself: exit 3, no traceback, and no stale outputs.
-    assert cli.main(["run", write_config(tmp_path, base_syk_config(tmp_path))]) == 0
+    cfg = base_syk_config(tmp_path, workers=2)
+    assert cli.main(["run", write_config(tmp_path, cfg)]) == 0
+    assert json.loads((tmp_path / "out" / "syk.json").read_text())["workers"] == 2
+    parent = os.getpid()
 
     def refuse(part, u_t):
-        raise ValueError("averaged OTOC refused mid-run")
+        raise ValueError(f"averaged OTOC refused mid-run in a worker: {os.getpid() != parent}")
 
     monkeypatch.setattr(scrambling, "averaged_otoc", refuse)
-    monkeypatch.setenv("SCRAMBLE_WORKERS", "2")
-    cfg = base_syk_config(tmp_path, seed=1)
+    cfg = base_syk_config(tmp_path, seed=1, workers=2)
     assert cli.main(["run", write_config(tmp_path, cfg)]) == 3
     err = capsys.readouterr().err
-    assert "assertion violation" in err and "refused mid-run" in err
+    assert "assertion violation" in err and "refused mid-run in a worker: True" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out" / "syk.csv").exists()
     assert not (tmp_path / "out" / "syk.json").exists()
