@@ -194,6 +194,13 @@ def load_config(path: str) -> ExperimentConfig:
         partition = Bipartition(**fields["partition"])
     except ValueError as exc:
         raise ConfigError(f"partition: {exc}") from None
+    # numpy counts an array's bytes in np.intp, which must hold one sample's
+    # d^2 complex entries (d^4 for bound8's W).
+    power = 4 if kind == "bound8" else 2
+    limit = ((np.iinfo(np.intp).max // np.dtype(complex).itemsize).bit_length() - 1) // power
+    _expect(partition.n_qubits <= limit,
+            f"partition: n_a + n_b = {partition.n_qubits} exceeds {limit} qubits, past which "
+            f"numpy cannot hold one sample's d^{power} complex entries")
 
     grid = fields["time_grid"]
     _expect(grid["start"] == 0.0, "time_grid.start: first sample must be at t = 0")
@@ -232,8 +239,8 @@ def load_config(path: str) -> ExperimentConfig:
         cfg.delta = fields["delta"]
         _expect(0.0 < cfg.delta < 1.0, "delta: must be in (0, 1)")
         # The regularized start's smallest marginal eigenvalue is delta / d_X, and eigh
-        # may return it a few ulp lower: keep it twice RANK_TOL (inf past float range).
-        floor = 2 * RANK_TOL * _real(max(partition.dim_a, partition.dim_b))
+        # may return it a few ulp lower: keep it twice RANK_TOL.
+        floor = 2 * RANK_TOL * max(partition.dim_a, partition.dim_b)
         _expect(cfg.delta >= floor, f"delta: must be at least {floor!r} at this partition, "
                 "or a marginal of the regularized start is rank deficient")
     return cfg
@@ -385,10 +392,10 @@ def cmd_run(ref: str) -> int:
         _remove_outputs(cfg.output, (".json",) if isinstance(exc, AssertionViolation)
                         else (".json", ".csv"))
         return 3
-    except ChildProcessError as exc:
-        # A SYK worker died without a result (a signal, the OOM killer), before
-        # any CSV is written.
-        print(f"error: {exc}", file=sys.stderr)
+    except (ChildProcessError, MemoryError) as exc:
+        # A SYK worker died without a result (a signal, the OOM killer), or an
+        # array did not fit in memory, before this run's CSV is complete.
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         _remove_outputs(cfg.output, (".json", ".csv"))
         return 1
     print(f"wrote {csv_path} and {json_path}")

@@ -33,6 +33,7 @@ from .qdense import (
     DensityMatrix,
     random_hermitian,
     seeded_rng,
+    time_chunks,
 )
 from .scrambling import bound_report
 
@@ -95,24 +96,18 @@ def syk_couplings(cfg: SykConfig, realization_index: int) -> np.ndarray:
     return rng.normal(0.0, math.sqrt(cfg.coupling_variance), cfg.term_count)
 
 
-# (term, basis index) entries per np.add.at call; bounds the per-entry
-# temporaries to a few MiB whatever C(N, q) is.
-_CHUNK_ENTRIES = 1 << 18
-
-
 def _pauli_sum(n_qubits: int, x: np.ndarray, z: np.ndarray, values: np.ndarray) -> ComplexMatrix:
     """H = sum_k values[k] X^x[k] Z^z[k], qubit 0 the most significant mask bit.
 
     X^x Z^z maps |j> to (-1)^|j & z| |j ^ x>, so term k adds values[k]
     (-1)^|j & z[k]| to H[j ^ x[k], j] for every basis index j. The parity of
     |j & z| is taken by folding bits, as np.bitwise_count needs numpy 2. Terms
-    are added in chunks, in term order, so H does not depend on the chunk size.
+    are added in time_chunks (d entries per term), in term order, so H does
+    not depend on the chunk size.
     """
     j = np.arange(2**n_qubits, dtype=np.uint64)
     h = np.zeros((j.size, j.size), dtype=complex)
-    step = max(1, _CHUNK_ENTRIES // j.size)
-    for lo in range(0, values.size, step):
-        terms = slice(lo, lo + step)
+    for terms in time_chunks(values.size, j.size):
         v = j & z[terms, None]
         for shift in (32, 16, 8, 4, 2, 1):
             v ^= v >> np.uint64(shift)

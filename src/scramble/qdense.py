@@ -9,10 +9,12 @@ a state it derived itself.
 
 A time grid is evaluated as a leading stack axis: the validators, eigh,
 partial_trace and the unitaries take (..., d, d) arrays and act slice by
-slice. Grids are cut into chunks (time_chunks) so that the largest stacked
-array stays within a fixed number of complex entries. unitary_family forms
-a chunk's (T, d, d) stack of U(t) as one (T d, d) @ (d, d) product. A ket
-trajectory psi(t), d entries per sample, is held for the whole grid.
+slice. time_chunks cuts every chunked loop of the package (the U(t) and
+rho(t) chunks of a grid, W's sub-stacks, the terms of a Pauli sum) so that its
+largest stacked array stays within one budget of _STACK_ENTRIES complex
+entries. unitary_family forms a chunk's (T, d, d) stack of U(t) as one
+(T d, d) @ (d, d) product. A ket trajectory psi(t), d entries per sample, is
+held for the whole grid.
 """
 
 from __future__ import annotations
@@ -39,9 +41,7 @@ GATE_UNITARITY_TOL = 1e-12
 SLACK_TOL = -1e-9  # a bound slack below this is a violation
 OBAR_T0_TOL = 1e-12  # allowed |Obar(0) - 1|
 
-# Complex entries (256 KiB) of the largest array one chunk of a time grid
-# stacks; one sample per chunk when a single sample is larger.
-_STACK_ENTRIES = 1 << 14
+_STACK_ENTRIES = 1 << 14  # 256 KiB; a larger sample gets a chunk of its own
 
 # Single-qubit Pauli matrices.
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -454,13 +454,43 @@ def test_huge_time_grid_is_a_field_error(tmp_path, capsys, command, samples):
     assert capsys.readouterr().err.startswith("config error: time_grid.samples: ")
 
 
-def test_huge_bound8_partition_is_a_delta_error(tmp_path, capsys):
-    # 2**2000 is past the float range, so the delta floor is infinite: no
-    # delta in (0, 1) can regularize that start.
-    cfg = bound8_config(tmp_path)
-    cfg["partition"] = {"n_a": 2000, "n_b": 1}
-    assert cli.main(["validate", write_config(tmp_path, cfg)]) == 2
-    assert capsys.readouterr().err.startswith("config error: delta: must be at least inf ")
+def oversized_config(tmp_path, case):
+    """A config whose one-sample array numpy cannot represent."""
+    if case == "circuit":
+        (tmp_path / "gates.json").write_text(json.dumps({"n_qubits": 2000, "gates": []}))
+        return base_circuit_config(tmp_path, partition={"n_a": 1, "n_b": 1999},
+                                   circuit="gates.json")
+    if case == "syk":
+        return base_syk_config(tmp_path, partition={"n_a": 1, "n_b": 999},
+                               syk={"n_majorana": 2000, "q": 4, "j_squared": 1.0,
+                                    "realizations": 1})
+    n_a, n_b = (15, 15) if case == "bound8" else (2000, 1)
+    return {**bound8_config(tmp_path), "partition": {"n_a": n_a, "n_b": n_b}, "delta": 0.5}
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("case", ["circuit", "syk", "bound8", "bound8-2000|1"])
+def test_oversized_register_is_a_partition_error(tmp_path, capsys, command, case):
+    # The first three ran into a numpy ValueError mid-run, reported as exit 3.
+    # At 2000|1 bound8's delta floor is past the float range as well; the
+    # register is refused before that floor is taken.
+    cfg = oversized_config(tmp_path, case)
+    assert cli.main([command, write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error: partition: ")
+    assert not (tmp_path / "out").exists() and not (tmp_path / "b8.csv").exists()
+
+
+@pytest.mark.parametrize("kind,limit", [("syk", 29), ("bound8", 14)])
+def test_register_limit_is_numpys_array_size(tmp_path, capsys, kind, limit):
+    # With a 64-bit np.intp an array holds at most 2**59 - 1 complex entries:
+    # d**2 of them at 29 qubits, and bound8's d**4 at 14.
+    cfg = base_syk_config(tmp_path) if kind == "syk" else {**bound8_config(tmp_path), "delta": 0.5}
+    for n, code in ((limit, 0), (limit + 1, 2)):
+        cfg["partition"] = {"n_a": 1, "n_b": n - 1}
+        if kind == "syk":
+            cfg["syk"] = {**cfg["syk"], "n_majorana": 2 * n}
+        assert cli.main(["validate", write_config(tmp_path, cfg)]) == code
+    assert f"exceeds {limit} qubits" in capsys.readouterr().err
 
 
 def test_model_fields_are_typed_with_defaults(tmp_path, capsys, monkeypatch):
@@ -687,6 +717,22 @@ def test_killed_worker_exits_1_without_traceback(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err
     assert not (tmp_path / "out" / "syk.csv").exists()
     assert not (tmp_path / "out" / "syk.json").exists()
+
+
+def test_memory_error_exits_1_without_traceback(tmp_path, capsys, monkeypatch):
+    # A good run first leaves a CSV and a summary at the same output.
+    path = write_config(tmp_path, bound8_config(tmp_path))
+    assert cli.main(["run", path]) == 0
+    assert (tmp_path / "b8.csv").exists()
+
+    def unallocatable(h, basis):
+        raise MemoryError("Unable to allocate 64.0 GiB for an array")
+
+    monkeypatch.setattr(liouville, "build_liouvillian", unallocatable)
+    assert cli.main(["run", path]) == 1
+    assert capsys.readouterr().err == "error: Unable to allocate 64.0 GiB for an array\n"
+    assert not (tmp_path / "b8.csv").exists()
+    assert not (tmp_path / "b8.json").exists()
 
 
 def test_import_loads_numpy_random():

@@ -18,7 +18,7 @@ from _oracles import (
     kron_chain,
     syk_hamiltonian_literal,
 )
-from scramble import models
+from scramble import models, qdense
 from scramble.cli import parse_circuit_json
 from scramble.models import (
     CircuitSpec,
@@ -161,8 +161,18 @@ def test_syk_hamiltonian_is_bitwise_independent_of_chunking(monkeypatch, chunk_e
     # 30 (7 terms each) or 3 (the last one short) chunks here.
     cfg = syk_config(n_majorana=10)
     whole = build_syk_hamiltonian(cfg, 2)
-    monkeypatch.setattr(models, "_CHUNK_ENTRIES", chunk_entries)
+    monkeypatch.setattr(qdense, "_STACK_ENTRIES", chunk_entries)
     assert build_syk_hamiltonian(cfg, 2).tobytes() == whole.tobytes()
+
+
+def test_syk_hamiltonian_in_two_default_chunks_equals_one_chunk(monkeypatch):
+    # N = 12 is 64 basis states and 495 terms: two chunks (256 and 239 terms)
+    # at the default budget, one chunk here.
+    cfg = syk_config(n_majorana=12)
+    assert len(qdense.time_chunks(cfg.term_count, 2**cfg.n_qubits)) == 2
+    chunked = build_syk_hamiltonian(cfg, 2)
+    monkeypatch.setattr(qdense, "_STACK_ENTRIES", cfg.term_count * 2**cfg.n_qubits)
+    assert build_syk_hamiltonian(cfg, 2).tobytes() == chunked.tobytes()
 
 
 # --- Transverse-field Ising chain ---
@@ -187,7 +197,7 @@ def test_ising_chain_matches_kron_form(n_qubits, j, hx):
 def test_ising_chain_is_bitwise_independent_of_chunking(monkeypatch):
     # 5 qubits: 9 terms in one chunk by default, one term per chunk here.
     whole = ising_chain(5, 0.9, 0.6)
-    monkeypatch.setattr(models, "_CHUNK_ENTRIES", 1)
+    monkeypatch.setattr(qdense, "_STACK_ENTRIES", 1)
     assert ising_chain(5, 0.9, 0.6).tobytes() == whole.tobytes()
 
 
