@@ -4,11 +4,8 @@ Conventions: row-major vec, |rho>_(r,c) = rho[r, c], so the von Neumann
 generator is W = -i (H x I - I x H^T) and vec(rho_dot) = W vec(rho). All
 rate channels are evaluated in the instantaneous product eigenbasis of the
 marginals, with eigenvalues sorted descending; the marginal eigenvalue
-attached to Liouville index m = (r, c) is read off the row part r. W is
-built once per rate call and refilled in place on its support for each
-later sub-stack of samples, but the rate sums read only one d x d table of
-it: off its masked diagonals, W's support is d copies each of it and of
--it^T.
+attached to Liouville index m = (r, c) is read off the row part r. The rate
+sums read one d x d table of W per sample.
 """
 
 from __future__ import annotations
@@ -157,39 +154,6 @@ def _pair_phases(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mag, phase
 
 
-def _w_sums(w: np.ndarray, a_rows: np.ndarray, b_rows: np.ndarray):
-    """(S_dot_A, S_E^A, S_dot_B, S_E^B) of each sample of a (T, d, d, d, d) stack of W.
-
-    ``w[t]`` is W of sample t as w[r, c, r', c']; ``a_rows`` and ``b_rows``
-    are the (T, d) marginal weights of each row index. W's support is two
-    (d, d, d) blocks of d copies of one d x d table each: same column,
-    W[(r, c), (r', c)] = -i H'[r, r'], and same row, W[(r, c), (r, c')] =
-    i H'[c', c], off the masked diagonals r = r' and c = c'. The same-row
-    table is minus the transpose of the same-column one, so the sums read the
-    c = 0 same-column table alone.
-    """
-    d = w.shape[-1]
-    # Same column, [r, r']: the weights w(r') enter as the prefactor and as
-    # the real shift log(w(r')/w(r)), which keeps the principal branch; the
-    # d columns give d equal copies. Same row, [c, c']: the weight ratio is 1,
-    # so every row r adds w(r) times the sum over the same-column terms, as
-    # |W| and the pair phase are even in W. Pairs with r = r' and c = c' lie
-    # in both blocks; log 1 = 0, so both leave them out.
-    mag, phase = _pair_phases(w[..., :, 0, :, 0])
-    exchange_c = (mag * phase).sum(axis=-2)
-    exchange_r = exchange_c.sum(axis=-1)
-
-    def local_sums(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(S_dot, S_E) for the marginal weight of each row index r."""
-        shift = np.log(weights[..., np.newaxis, :] / weights[..., :, np.newaxis])
-        s_dot_c = (mag * np.hypot(shift, phase)).sum(axis=-2)
-        same_r = weights.sum(axis=-1) * exchange_r
-        return (d * (weights * s_dot_c).sum(axis=-1) + same_r,
-                d * (weights * exchange_c).sum(axis=-1) + same_r)
-
-    return local_sums(a_rows) + local_sums(b_rows)
-
-
 def entropy_production_rates(h: ComplexMatrix, rho_s: DensityMatrix, part: Bipartition):
     """Local entropy-production sums, exchange term, and geometry coefficients.
 
@@ -198,27 +162,20 @@ def entropy_production_rates(h: ComplexMatrix, rho_s: DensityMatrix, part: Bipar
     whose log(W/W^T) is exactly 0. Each term is |W| |log(W/W^T) + s| with a
     real shift s (0 for the exchange sums). W is skew-Hermitian, so
     log(W/W^T) is the pure phase i arg(-W^2) on the principal branch
-    (_pair_phases) and a term is |W| hypot(s, |arg(-W^2)|).
-    W is nonzero only where m = (r, c) and m' = (r', c') share c or share r,
-    and every other pair has W = 0. Off the masked diagonal each of those two
-    d^3 blocks is d copies of one d x d table, the same-row one minus the
-    same-column one's transpose. |W| and the pair phase phi are even in W,
-    so the sums run on the same-column table: S_dot_X = d sum_{r,r'} w(r')
-    |W| hypot(ln(w(r')/w(r)), phi) + X sum_r w(r) and S_E^X = d sum w(r')
-    |W| phi + X sum_r w(r), with X = sum |W| phi over the whole table.
+    (_pair_phases) and a term is |W| hypot(s, |arg(-W^2)|). W is nonzero
+    only where m = (r, c) and m' = (r', c') share c or share r, and those
+    entries repeat one d x d table. With the pair phase phi of that table,
+    S_dot_X = d sum_{r,r'} w(r') |W| hypot(ln(w(r')/w(r)), phi) + X sum_r w(r)
+    and S_E^X = d sum w(r') |W| phi + X sum_r w(r), with X = sum |W| phi over
+    the whole table.
     The exchange channel is reported as SdotE = S_E^A + S_E^B with coeffC
     the matching weighted ratio, preserving the weighted product exactly.
     Keys are the channel names: Idot, SdotA, SdotB, SdotE, coeffA, coeffB,
     coeffC, bound_rhs = coeffA SdotA + coeffB SdotB + coeffC SdotE, and
     slack8 = bound_rhs - Idot. ``rho_s`` is one state, giving floats, or a
     (..., d, d) stack, giving arrays over the leading axes.
-    Validation, Idot, the marginal eigensystems and the coefficients are taken
-    once over the whole stack. W, with d^4 entries per sample, is held for
-    one sub-stack of the flattened leading axes at a time, as cut by
-    qdense.time_chunks: build_liouvillian allocates it for the first, and
-    each later sub-stack refills only W's 2 d^3 support in place on a
-    leading slice of that array. The pair sums take d^2 entries of W per
-    sample.
+    Validation, Idot, the marginal eigensystems, the pair sums and the
+    coefficients are taken once over the whole stack.
     """
     i_dot = mutual_information_rate(h, rho_s, part)  # validates h, rho_s and part
     h = np.asarray(h, dtype=complex)
@@ -233,17 +190,38 @@ def entropy_production_rates(h: ComplexMatrix, rho_s: DensityMatrix, part: Bipar
     # W holds d^4 entries per state, and its support pattern depends only on
     # d: one W for the first sub-stack of the flattened leading axes, whose
     # support each later (no larger) sub-stack overwrites on a leading slice.
-    bases, a_flat, b_flat = basis.reshape(-1, d, d), a_rows.reshape(-1, d), b_rows.reshape(-1, d)
+    # Off its masked diagonals r = r' and c = c', W's support is two (d, d, d)
+    # blocks of d copies of one d x d table each: same column,
+    # W[(r, c), (r', c)] = -i H'[r, r'], and same row, W[(r, c), (r, c')] =
+    # i H'[c', c], minus the transpose of the first. The sums read the c = 0
+    # same-column table of each sample alone.
+    bases = basis.reshape(-1, d, d)
     chunks = time_chunks(len(bases), d**4)
     w = build_liouvillian(h, bases[chunks[0]]).reshape(-1, d, d, d, d)
-    sums = []
+    same_c = np.empty(bases.shape, dtype=complex)
     for c in chunks:
         sub = w[: c.stop - c.start]
         if c.start:
             _fill_liouvillian(sub, dagger(bases[c]) @ h @ bases[c])
-        sums.append(_w_sums(sub, a_flat[c], b_flat[c]))
-    del w, sub  # W is the peak: free it before the coefficients' temporaries
-    s_dot_a, s_e_a, s_dot_b, s_e_b = (np.concatenate(s).reshape(lead) for s in zip(*sums))
+        same_c[c] = sub[:, :, 0, :, 0]
+    del w, sub  # W is the peak: free it before the sums' temporaries
+
+    # Same column, [r, r']: the weights w(r') enter as the prefactor and as
+    # the real shift log(w(r')/w(r)), which keeps the principal branch; the
+    # d columns give d equal copies. Same row, [c, c']: the weight ratio is 1,
+    # so every row r adds w(r) times the sum over the same-column terms, as
+    # |W| and the pair phase are even in W. Pairs with r = r' and c = c' lie
+    # in both blocks; log 1 = 0, so both leave them out.
+    mag, phase = _pair_phases(same_c.reshape(lead + (d, d)))
+    exchange_c = (mag * phase).sum(axis=-2)
+    exchange_r = exchange_c.sum(axis=-1)
+    sums = []
+    for rows in (a_rows, b_rows):
+        shift = np.log(rows[..., np.newaxis, :] / rows[..., :, np.newaxis])
+        same_r = rows.sum(axis=-1) * exchange_r
+        sums += [d * (rows * (mag * np.hypot(shift, phase)).sum(axis=-2)).sum(axis=-1) + same_r,
+                 d * (rows * exchange_c).sum(axis=-1) + same_r]
+    s_dot_a, s_e_a, s_dot_b, s_e_b = sums
 
     abs_rho = np.abs(dagger(basis) @ rho_s @ basis)
     coeff_a = d * d * (abs_rho / a_rows[..., np.newaxis]).sum(axis=(-2, -1))

@@ -39,7 +39,7 @@ RANK_TOL = 1e-9  # smallest marginal eigenvalue the rate channels accept
 PAIR_CUTOFF = 1e-12  # Liouville entries at or below this are skipped in pair sums
 GATE_UNITARITY_TOL = 1e-12
 SLACK_TOL = -1e-9  # a bound slack below this is a violation
-OBAR_T0_TOL = 1e-12  # allowed |Obar(0) - 1|
+OBAR_T0_TOL = 1e-12  # allowed |Obar(0) - 1| and Obar(t) outside [1/min(d_A, d_B)^2, 1]
 
 _STACK_ENTRIES = 1 << 14  # 256 KiB; a larger sample gets a chunk of its own
 

@@ -574,23 +574,6 @@ def test_obar_origin_violation_exits_3(tmp_path, capsys):
     assert not (tmp_path / "out").joinpath("run.json").exists()
 
 
-def test_slack_violation_exits_3_naming_first_sample(tmp_path, capsys, monkeypatch):
-    times = np.array([0.0, 0.2, 0.4])
-    fake = {
-        "t": times,
-        "I": np.zeros(3),
-        "I2": np.zeros(3),
-        "Obar": np.array([1.0, 0.4, 0.3]),
-        "deltaO": np.array([0.0, 0.6, 0.7]),
-        "slack9": np.array([0.0, -0.6, -0.7]),
-    }
-    monkeypatch.setattr(cli, "bound_report", lambda *a, **k: fake)
-    cfg = base_circuit_config(tmp_path, modified_otoc=False)
-    assert cli.main(["run", write_config(tmp_path, cfg)]) == 3
-    err = capsys.readouterr().err
-    assert "slack9" in err and "0.2" in err
-
-
 def bound8_config(tmp_path):
     return {
         "kind": "bound8",
@@ -613,6 +596,72 @@ def test_bound8_slack8_violation_exits_3(tmp_path, capsys, monkeypatch):
     assert "slack8" in err and "0.5" in err
     assert (tmp_path / "b8.csv").exists()
     assert not (tmp_path / "b8.json").exists()
+
+
+def test_slack_violation_exits_3_naming_first_sample(tmp_path, capsys, monkeypatch):
+    times = np.array([0.0, 0.2, 0.4])
+    fake = {name: np.ones(3) for name in ("Idot", "SdotA", "SdotB", "SdotE")}
+    fake.update(t=times, Obar=np.ones(3), slack9=np.array([0.0, -0.6, -0.7]),
+                slack8=np.array([0.0, -0.6, -0.7]))
+    monkeypatch.setattr(cli, "bound8_report", lambda *a, **k: fake)
+    assert cli.main(["run", write_config(tmp_path, bound8_config(tmp_path))]) == 3
+    err = capsys.readouterr().err
+    # Values print as Python floats on every numpy, not as np.float64(0.2).
+    assert "slack8 = -0.6 below -1e-09 first at t = 0.2\n" in err
+
+
+def fake_run(tmp_path, monkeypatch, kind, table):
+    """Run a config of ``kind`` whose channel table is ``table``: the exit code."""
+    if kind == "circuit":
+        monkeypatch.setattr(cli, "bound_report", lambda *a, **k: table)
+        cfg = base_circuit_config(tmp_path, modified_otoc=False)
+    elif kind == "syk":
+        monkeypatch.setattr(cli, "syk_trajectory", lambda *a, **k: ([table], table))
+        cfg = base_syk_config(tmp_path, partition={"n_a": 2, "n_b": 1})
+    else:
+        monkeypatch.setattr(cli, "bound8_report", lambda *a, **k: table)
+        cfg = {**bound8_config(tmp_path), "partition": {"n_a": 1, "n_b": 2}}
+    return cli.main(["run", write_config(tmp_path, cfg)]), cfg["output"]
+
+
+@pytest.mark.parametrize("kind", ["circuit", "syk", "bound8"])
+@pytest.mark.parametrize("obar, exit_code", [
+    ([1.0, 1.0 + 5e-13, 0.25 - 5e-13], 0),  # within OBAR_T0_TOL of [1/4, 1]
+    ([1.0, 1.0 + 2e-12, 1.5], 3),
+    ([1.0, 0.25 - 2e-12, 0.1], 3),  # 2|1 for SYK: below 1/min(d_A, d_B)^2, not 1/d_A^2
+])
+def test_obar_outside_its_range_exits_3_naming_first_sample(
+        tmp_path, capsys, monkeypatch, kind, obar, exit_code):
+    # Every split here has min(d_A, d_B) = 2, so Obar(t) must lie in [1/4, 1].
+    # Given Obar(0) = 1 that range certifies the operator form of bound 9.
+    fake = {"t": np.array([0.0, 0.2, 0.4]), "Obar": np.array(obar)}
+    fake.update({name: np.zeros(3) for name in ("I2", "slack9", "slack8")})
+    code, output = fake_run(tmp_path, monkeypatch, kind, fake)
+    assert code == exit_code
+    assert os.path.exists(output + ".csv")
+    assert os.path.exists(output + ".json") == (exit_code == 0)
+    if exit_code:
+        err = capsys.readouterr().err
+        assert f"Obar = {obar[1]!r} outside [1/min(d_A, d_B)^2, 1]" in err
+        assert err.endswith("first at t = 0.2\n")
+
+
+def test_state_form_violation_is_counted_not_asserted(tmp_path, capsys):
+    # |00> is an eigenstate of Z x Z, so RZZ(pi/2 t) keeps I = 0 while the
+    # averaged OTOC falls to 0.5 at t = 1: slack9 < 0 at every t > 0. The state
+    # form of bound 9 is no theorem, so the run succeeds and counts it.
+    gates = {"n_qubits": 2, "gates": [{"name": "RZZ", "targets": [0, 1], "angle": np.pi / 2}]}
+    (tmp_path / "rzz.json").write_text(json.dumps(gates))
+    cfg = base_circuit_config(tmp_path, circuit=str(tmp_path / "rzz.json"),
+                              time_grid={"start": 0.0, "stop": 1.0, "samples": 11})
+    assert cli.main(["run", write_config(tmp_path, cfg)]) == 0
+    assert capsys.readouterr().err == ""
+    _, data = read_csv(cfg["output"] + ".csv")
+    assert np.abs(data["I"]).max() < 1e-12
+    assert data["Obar"][-1] == pytest.approx(0.5)
+    summary = json.loads(Path(cfg["output"] + ".json").read_text())
+    assert summary["violations"] == {"slack9": 10}
+    assert summary["first_violation_t"] == {"slack9": 0.1}
 
 
 def test_bound8_slack9_is_diagnostic_only(tmp_path, monkeypatch):

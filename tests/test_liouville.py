@@ -32,6 +32,7 @@ from scramble.qdense import (
     partial_trace,
     random_hermitian,
     seeded_rng,
+    time_chunks,
     unitary_family,
 )
 
@@ -315,6 +316,27 @@ def test_entropy_production_rates_builds_one_w_per_call(monkeypatch):
     monkeypatch.setattr(liouville, "build_liouvillian", counted)
     entropy_production_rates(h, stack, part)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n_a, n_b, states, sub_stacks", [(2, 3, 5, 5), (1, 2, 100, 25)])
+def test_entropy_production_rates_takes_pair_sums_once_per_call(
+        monkeypatch, n_a, n_b, states, sub_stacks):
+    # W's sub-stacks only gather their same-column tables; the pair phases
+    # and sums run once over the whole stack of them.
+    part = Bipartition(n_a, n_b)
+    assert len(time_chunks(states, part.dim**4)) == sub_stacks
+    rng = seeded_rng(923)
+    h = random_hermitian(part.dim, rng)
+    stack = np.stack([random_density(part.dim, rng) for _ in range(states)])
+    shapes = []
+
+    def counted(table):
+        shapes.append(table.shape)
+        return _pair_phases(table)
+
+    monkeypatch.setattr(liouville, "_pair_phases", counted)
+    entropy_production_rates(h, stack, part)
+    assert shapes == [(states, part.dim, part.dim)]
 
 
 def test_entropy_production_rates_peak_memory_stays_near_w():
