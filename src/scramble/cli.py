@@ -53,20 +53,21 @@ KIND_FIELDS = {
     "circuit": {"circuit": str, "modified_otoc": (bool, None)},  # None: true when n_a == 1
     "bound8": {"model": dict, "delta": (float, DEFAULT_DELTA)},
 }
-# The checks that stop a run (exit 3), in the order they are read: name ->
-# (kinds, channel, mask of the failing samples given the channel and the Obar
-# floor 1/min(d_A, d_B)^2, what the check requires). Given Obar(0) = 1, an
-# Obar within [floor, 1] at every sample certifies the operator form of bound
-# 9, Iop >= -2 ln Obar >= Obar(0) - Obar(t). The state form slack9 is no
-# theorem (RZZ(pi t/2) at 1|1 keeps I = 0 while Obar falls to 0.5), so it is
-# counted in the summary on every kind and never stops a run.
-ASSERTED_CHECKS = {
-    "slack8": (("bound8",), "slack8", lambda x, floor: x < SLACK_TOL, f"below {SLACK_TOL}"),
-    "Obar(0)": (tuple(KIND_FIELDS), "Obar", lambda x, floor: np.abs(x[:1] - 1.0) > OBAR_T0_TOL,
-                f"deviates from 1 beyond {OBAR_T0_TOL}"),
-    "Obar": (tuple(KIND_FIELDS), "Obar",
-             lambda x, floor: (x > 1.0 + OBAR_T0_TOL) | (x < floor - OBAR_T0_TOL),
-             f"outside [1/min(d_A, d_B)^2, 1] beyond {OBAR_T0_TOL}"),
+# The checks a run counts, in the order they are read: name -> (channel, mask
+# of the failing samples given the channel and the Obar floor
+# 1/min(d_A, d_B)^2, what the check requires, whether a failure stops the run
+# with exit 3). A check applies where the run's table holds its channel.
+# Given Obar(0) = 1, an Obar within [floor, 1] at every sample certifies the
+# operator form of bound 9, Iop >= -2 ln Obar >= Obar(0) - Obar(t). The state
+# form slack9 is no theorem (RZZ(pi t/2) at 1|1 keeps I = 0 while Obar falls
+# to 0.5), so it is counted and never stops a run.
+CHECKS = {
+    "slack9": ("slack9", lambda x, floor: x < SLACK_TOL, f"below {SLACK_TOL}", False),
+    "slack8": ("slack8", lambda x, floor: x < SLACK_TOL, f"below {SLACK_TOL}", True),
+    "Obar(0)": ("Obar", lambda x, floor: np.abs(x[:1] - 1.0) > OBAR_T0_TOL,
+                f"deviates from 1 beyond {OBAR_T0_TOL}", True),
+    "Obar": ("Obar", lambda x, floor: (x > 1.0 + OBAR_T0_TOL) | (x < floor - OBAR_T0_TOL),
+             f"outside [1/min(d_A, d_B)^2, 1] beyond {OBAR_T0_TOL}", True),
 }
 CIRCUIT_FIELDS = {"n_qubits": int, "gates": list}
 GATE_FIELDS = {"name": str, "targets": list, "angle": (float, None), "matrix": (list, None)}
@@ -184,12 +185,18 @@ class ExperimentConfig:
     delta: float = DEFAULT_DELTA
 
 
-def _resolve_circuit(ref: str, base_dir: str) -> CircuitSpec:
-    if ref.startswith("builtin:"):
+def _gate_file(ref: str, config_path: str) -> str | None:
+    """The gate-list file circuit ``ref`` names, relative to the config; None for a builtin."""
+    return None if ref.startswith("builtin:") else os.path.join(
+        os.path.dirname(os.path.abspath(config_path)), ref)
+
+
+def _resolve_circuit(ref: str, config_path: str) -> CircuitSpec:
+    path = _gate_file(ref, config_path)
+    if path is None:
         name = ref.split(":", 1)[1]
         _expect(name in BUILTIN_CIRCUITS, f"circuit: unknown builtin {name!r}")
         return BUILTIN_CIRCUITS[name]()
-    path = ref if os.path.isabs(ref) else os.path.join(base_dir, ref)
     text = _read_text(path, "circuit: file", ref)
     try:
         return parse_circuit_json(text)
@@ -205,7 +212,7 @@ def load_config(path: str) -> ExperimentConfig:
     try:
         partition = Bipartition(**fields["partition"])
     except ValueError as exc:
-        raise ConfigError(f"partition: {exc}") from None
+        raise ConfigError(f"partition.{exc}") from None
     # numpy counts an array's bytes in np.intp, which must hold one sample's
     # d^2 complex entries (d^4 for bound8's W).
     power = 4 if kind == "bound8" else 2
@@ -220,6 +227,8 @@ def load_config(path: str) -> ExperimentConfig:
             f"time_grid.samples: need at least 2 samples and at most {MAX_SAMPLES}")
     _expect(grid["stop"] > grid["start"], "time_grid.stop: grid must be strictly increasing")
     _expect(fields["seed"] >= 0, "seed: must be a non-negative integer")
+    _expect(os.path.basename(fields["output"]) not in ("", ".", ".."),
+            "output: must be a path stem, not empty or ending in a path separator, . or ..")
     cfg = ExperimentConfig(
         kind=kind, partition=partition, output=fields["output"], seed=fields["seed"], raw=data,
         times=np.linspace(grid["start"], grid["stop"], grid["samples"]),
@@ -229,14 +238,14 @@ def load_config(path: str) -> ExperimentConfig:
         try:
             cfg.syk = SykConfig(**fields["syk"], seed=cfg.seed)
         except ValueError as exc:
-            raise ConfigError(f"syk: {exc}") from None
+            raise ConfigError(f"syk.{exc}") from None
         _expect(partition.n_qubits == cfg.syk.n_qubits,
                 f"partition: n_a + n_b = {partition.n_qubits} does not match "
                 f"the {cfg.syk.n_qubits}-qubit SYK register")
         cfg.workers = fields["workers"]
         _expect(cfg.workers >= 1, "workers: must be at least 1")
     elif kind == "circuit":
-        cfg.circuit = _resolve_circuit(fields["circuit"], os.path.dirname(os.path.abspath(path)))
+        cfg.circuit = _resolve_circuit(fields["circuit"], path)
         _expect(partition.n_qubits == cfg.circuit.n_qubits,
                 f"partition: n_a + n_b = {partition.n_qubits} does not match "
                 f"the {cfg.circuit.n_qubits}-qubit circuit")
@@ -314,14 +323,14 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dict, str]:
     }
 
     initial = _zero_state(cfg.partition.n_qubits)
+    floor = 1.0 / min(cfg.partition.dim_a, cfg.partition.dim_b) ** 2
     if cfg.kind == "syk":
         reports, table = syk_trajectory(cfg.syk, cfg.partition, initial, cfg.times,
                                         workers=cfg.workers)
         summary["seeds"]["disorder_streams"] = "(base, realization_index)"
         summary["workers"] = cfg.workers
-        summary["violations"]["per_realization_slack9"] = int(
-            sum(np.count_nonzero(r["slack9"] < SLACK_TOL) for r in reports)
-        )
+        summary["violations"]["per_realization_slack9"] = int(sum(
+            np.count_nonzero(CHECKS["slack9"][1](r["slack9"], floor)) for r in reports))
     elif cfg.kind == "circuit":
         table = bound_report(lambda t: realize_circuit(cfg.circuit, t), cfg.partition,
                              initial, cfg.times, include_modified=cfg.modified)
@@ -337,22 +346,17 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dict, str]:
     with _writing(csv_path):
         write_csv(csv_path, table)
     summary["first_violation_t"] = {}
-    for name in ("slack9", "slack8"):
-        if name in table:
-            bad = np.nonzero(table[name] < SLACK_TOL)[0]
-            summary["violations"][name] = int(bad.size)
-            if bad.size:
-                summary["first_violation_t"][name] = float(table["t"][bad[0]])
-    summary["runtime_seconds"] = time.perf_counter() - started
-    floor = 1.0 / min(cfg.partition.dim_a, cfg.partition.dim_b) ** 2
-    for name, (kinds, channel, fails, requirement) in ASSERTED_CHECKS.items():
-        if cfg.kind not in kinds:
+    for name, (channel, fails, requirement, stops) in CHECKS.items():
+        if channel not in table:
             continue
         bad = np.nonzero(fails(table[channel], floor))[0]
+        summary["violations"][name] = int(bad.size)
         if bad.size:
-            i = bad[0]
-            raise AssertionViolation(f"{name} = {float(table[channel][i])} {requirement} "
-                                     f"first at t = {float(table['t'][i])}")
+            value, t = float(table[channel][bad[0]]), float(table["t"][bad[0]])
+            summary["first_violation_t"][name] = t
+            if stops:
+                raise AssertionViolation(f"{name} = {value} {requirement} first at t = {t}")
+    summary["runtime_seconds"] = time.perf_counter() - started
     return summary, csv_path
 
 
@@ -374,6 +378,21 @@ def resolve_config_path(ref: str) -> str:
     raise ConfigError(f"config file not found: {ref}")
 
 
+def _load(ref: str) -> ExperimentConfig:
+    """The config at path or preset ``ref``, whose CSV and summary overwrite no input file.
+
+    Only cmd_run writes the summary: a caller of load_config and
+    run_experiment, such as perfbench's runner, may keep the config there.
+    """
+    path = resolve_config_path(ref)
+    cfg = load_config(path)
+    inputs = [path, _gate_file(cfg.raw["circuit"], path) if cfg.kind == "circuit" else None]
+    for written in (cfg.output + ".csv", cfg.output + ".json"):
+        _expect(all(os.path.realpath(written) != os.path.realpath(f) for f in inputs if f),
+                f"output: {written} would overwrite an input of this run")
+    return cfg
+
+
 def _config_error(exc: ConfigError) -> int:
     print(f"config error: {exc}", file=sys.stderr)
     return 2
@@ -388,7 +407,7 @@ def _remove_outputs(output: str, suffixes: tuple[str, ...]) -> None:
 
 def cmd_run(ref: str) -> int:
     try:
-        cfg = load_config(resolve_config_path(ref))
+        cfg = _load(ref)
     except ConfigError as exc:
         return _config_error(exc)
     json_path = cfg.output + ".json"
@@ -418,7 +437,7 @@ def cmd_run(ref: str) -> int:
 
 def cmd_validate(ref: str) -> int:
     try:
-        load_config(resolve_config_path(ref))
+        _load(ref)
     except ConfigError as exc:
         return _config_error(exc)
     print("ok")

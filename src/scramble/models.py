@@ -50,13 +50,13 @@ class SykConfig:
 
     def __post_init__(self):
         if self.n_majorana % 2 or self.n_majorana < 4:
-            raise ValueError("n_majorana must be even and at least 4")
+            raise ValueError("n_majorana: must be even and at least 4")
         if self.q % 2 or not 4 <= self.q <= self.n_majorana:
-            raise ValueError("q must be even with 4 <= q <= n_majorana")
+            raise ValueError("q: must be even with 4 <= q <= n_majorana")
         if self.j_squared <= 0:
-            raise ValueError("j_squared must be positive")
+            raise ValueError("j_squared: must be positive")
         if self.realizations < 1:
-            raise ValueError("realizations must be at least 1")
+            raise ValueError("realizations: must be at least 1")
 
     @property
     def n_qubits(self) -> int:
@@ -147,35 +147,20 @@ def bound8_hamiltonian(model: dict, n_qubits: int, seed: int) -> ComplexMatrix:
 # Circuit construction
 
 
-# An angled gate takes a float angle, giving a matrix, or a 1-D array of
-# angles, giving the (T, k, k) stack of its matrices.
-
-
-def _rx(angle) -> np.ndarray:
-    c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
-    return np.moveaxis(np.array([[c, -1j * s], [-1j * s, c]]), (0, 1), (-2, -1))
-
-
-def _rzz(angle) -> np.ndarray:
-    e = np.exp(-0.5j * np.asarray(angle))
-    m = np.zeros(e.shape + (4, 4), dtype=complex)
-    m[..., range(4), range(4)] = np.stack([e, e.conj(), e.conj(), e], axis=-1)
-    return m
-
-
-# name -> (arity, matrix): a fixed matrix, a function of the angle for the
-# angled gates, or None for CUSTOM, whose Gate carries its own matrix.
+# name -> (arity, matrix, angled). An angled gate's matrix is its Pauli
+# generator P, realized at angle theta as exp(-i theta P/2); CUSTOM's matrix
+# is None, as its Gate carries its own.
 _GATES = {
-    "H": (1, np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)),
-    "X": (1, SIGMA_X),
-    "Y": (1, SIGMA_Y),
-    "Z": (1, SIGMA_Z),
-    "S": (1, np.diag([1.0, 1j])),
-    "RX": (1, _rx),
-    "CZ": (2, np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)),
-    "CNOT": (2, np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)),
-    "RZZ": (2, _rzz),
-    "CUSTOM": (2, None),
+    "H": (1, np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0), False),
+    "X": (1, SIGMA_X, False),
+    "Y": (1, SIGMA_Y, False),
+    "Z": (1, SIGMA_Z, False),
+    "S": (1, np.diag([1.0, 1j]), False),
+    "RX": (1, SIGMA_X, True),
+    "CZ": (2, np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex), False),
+    "CNOT": (2, np.eye(4, dtype=complex)[[0, 1, 3, 2]], False),
+    "RZZ": (2, np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex), True),
+    "CUSTOM": (2, None, False),
 }
 
 
@@ -189,19 +174,21 @@ class Gate:
     def realized(self, t=1.0) -> np.ndarray:
         """The gate's matrix with its angle scaled by t (first target = leading factor).
 
-        For an angled gate a 1-D array of times gives a (T, k, k) stack.
+        An angled gate is cos(theta/2) I - i sin(theta/2) P at theta = angle * t;
+        a 1-D array of times gives a (T, k, k) stack.
         """
-        fixed = _GATES[self.name][1]
-        if callable(fixed):
-            return fixed(self.angle * t)
-        return self.matrix if fixed is None else fixed
+        _, fixed, angled = _GATES[self.name]
+        if not angled:
+            return self.matrix if fixed is None else fixed
+        half = np.asarray(self.angle * t / 2.0)[..., None, None]
+        return np.cos(half) * np.eye(len(fixed)) - 1j * np.sin(half) * fixed
 
 
 def _validate_gate(gate: Gate, index: int, n_qubits: int) -> None:
     where = f"gates[{index}]"
     if gate.name not in _GATES:
         raise ValueError(f"{where}.name: unknown gate {gate.name!r}")
-    arity, fixed = _GATES[gate.name]
+    arity, fixed, angled = _GATES[gate.name]
     if len(gate.targets) != arity:
         raise ValueError(
             f"{where}.targets: {gate.name} takes {arity} target(s), got {len(gate.targets)}"
@@ -211,7 +198,7 @@ def _validate_gate(gate: Gate, index: int, n_qubits: int) -> None:
     for t in gate.targets:
         if not 0 <= t < n_qubits:
             raise ValueError(f"{where}.targets: qubit {t} out of range for {n_qubits} qubits")
-    if callable(fixed):
+    if angled:
         if gate.angle is None:
             raise ValueError(f"{where}.angle: {gate.name} requires an angle")
         if not math.isfinite(gate.angle):

@@ -57,8 +57,8 @@ class Bipartition:
     n_b: int
 
     def __post_init__(self):
-        if self.n_a < 1 or self.n_b < 1:
-            raise ValueError("both subsystems need at least one qubit")
+        if min(self.n_a, self.n_b) < 1:
+            raise ValueError(f"{'n_a' if self.n_a < 1 else 'n_b'}: needs at least one qubit")
 
     @property
     def dim_a(self) -> int:

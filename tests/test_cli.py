@@ -140,7 +140,8 @@ def test_run_syk_end_to_end(tmp_path):
     assert len(data["t"]) == 6
     assert np.all(data["slack9"] >= -1e-9)
     summary = json.loads(Path(cfg["output"] + ".json").read_text())
-    assert summary["violations"] == {"per_realization_slack9": 0, "slack9": 0}
+    assert summary["violations"] == {"per_realization_slack9": 0, "slack9": 0, "Obar(0)": 0,
+                                     "Obar": 0}
     assert summary["workers"] == 1
     assert summary["seeds"]["disorder_streams"] == "(base, realization_index)"
 
@@ -271,6 +272,39 @@ def test_directory_at_the_csv_path_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out" / "run.json").exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("output", ["gates", "config", "link/gates"])
+def test_output_over_an_input_file_exits_2_leaving_it_unchanged(
+        tmp_path, capsys, monkeypatch, command, output):
+    # Run from the config's directory, where the relative gate-list reference
+    # and the relative output stem name the same files; link/ is that
+    # directory through a symlink.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "link").symlink_to(tmp_path)
+    gates = tmp_path / "gates.json"
+    gates.write_text(json.dumps({"n_qubits": 2, "gates": [{"name": "H", "targets": [0]}]}))
+    path = Path(write_config(tmp_path, base_circuit_config(tmp_path, circuit="gates.json",
+                                                           output=output)))
+    before = {f: f.read_bytes() for f in (gates, path)}
+    cli.load_config(str(path))  # a library caller writes no summary, so it may keep these paths
+    assert cli.main([command, str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: output: {output}.json would overwrite an input of this run\n")
+    assert {f: f.read_bytes() for f in before} == before
+    assert not (tmp_path / f"{output}.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("output", ["", "o/", "{tmp}/", ".", "o/.."])
+def test_output_without_a_file_stem_exits_2(tmp_path, capsys, monkeypatch, command, output):
+    # "o/" would write the hidden files o/.csv and o/.json, "." ..csv and ..json.
+    monkeypatch.chdir(tmp_path)
+    cfg = base_circuit_config(tmp_path, output=output.format(tmp=tmp_path))
+    assert cli.main([command, write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error: output: must be a path stem")
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+
 # --- validation and exit code 2 --------------------------------------------------
 
 
@@ -354,6 +388,17 @@ def test_huge_integer_gate_angle_is_a_field_error(tmp_path, capsys):
     cfg = base_circuit_config(tmp_path, circuit="big.json")
     assert cli.main(["validate", write_config(tmp_path, cfg)]) == 2
     assert "circuit (big.json): gates[0].angle: expected a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("block,name,value", [
+    ("syk", "n_majorana", 7), ("syk", "q", 8), ("syk", "j_squared", 0.0),
+    ("syk", "realizations", 0), ("partition", "n_a", 0), ("partition", "n_b", 0),
+])
+def test_out_of_range_value_names_its_field(tmp_path, capsys, block, name, value):
+    cfg = base_syk_config(tmp_path)
+    cfg[block][name] = value
+    assert cli.main(["validate", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {block}.{name}: ")
 
 
 @pytest.mark.parametrize(
@@ -660,8 +705,24 @@ def test_state_form_violation_is_counted_not_asserted(tmp_path, capsys):
     assert np.abs(data["I"]).max() < 1e-12
     assert data["Obar"][-1] == pytest.approx(0.5)
     summary = json.loads(Path(cfg["output"] + ".json").read_text())
-    assert summary["violations"] == {"slack9": 10}
+    assert summary["violations"] == {"slack9": 10, "Obar(0)": 0, "Obar": 0}
     assert summary["first_violation_t"] == {"slack9": 0.1}
+
+
+@pytest.mark.parametrize("kind,checks", [
+    ("circuit", {"slack9", "Obar(0)", "Obar"}),
+    ("syk", {"slack9", "Obar(0)", "Obar"}),
+    ("bound8", {"slack9", "slack8", "Obar(0)", "Obar"}),
+])
+def test_violations_count_every_check_whose_channel_the_run_holds(tmp_path, kind, checks):
+    cfg = {"circuit": base_circuit_config, "syk": base_syk_config,
+           "bound8": bound8_config}[kind](tmp_path)
+    assert cli.main(["run", write_config(tmp_path, cfg)]) == 0
+    header, _ = read_csv(cfg["output"] + ".csv")
+    assert checks == {name for name, row in cli.CHECKS.items() if row[0] in header}
+    summary = json.loads(Path(cfg["output"] + ".json").read_text())
+    extra = {"per_realization_slack9"} if kind == "syk" else set()
+    assert summary["violations"] == dict.fromkeys(checks | extra, 0)
 
 
 def test_bound8_slack9_is_diagnostic_only(tmp_path, monkeypatch):

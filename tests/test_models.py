@@ -89,8 +89,8 @@ def syk_config(**overrides):
     [
         (dict(n_majorana=9), "even"),
         (dict(n_majorana=2), "even"),
-        (dict(q=3), "q must be even"),
-        (dict(q=8), "q must be even"),
+        (dict(q=3), "q: must be even"),
+        (dict(q=8), "q: must be even"),
         (dict(j_squared=0.0), "positive"),
         (dict(realizations=0), "realizations"),
     ],
@@ -220,11 +220,20 @@ def test_syk_term_monomials_are_orthogonal():
 
 
 def test_gate_realized_matches_exponentials():
-    theta = 0.83
-    rx = Gate("RX", (0,), angle=theta).realized()
-    np.testing.assert_allclose(rx, expm_unitary(kron_chain("X") / 2, theta), atol=1e-12)
-    rzz = Gate("RZZ", (0, 1), angle=theta).realized()
-    np.testing.assert_allclose(rzz, expm_unitary(kron_chain("ZZ") / 2, theta), atol=1e-12)
+    # Every angled row, at one angle and over a stack of times whose angles
+    # are 0, negative and beyond 2 pi.
+    generators = {"RX": "X", "RZZ": "ZZ"}
+    assert {name for name, row in models._GATES.items() if row[2]} == set(generators)
+    theta, times = 0.83, np.array([0.0, -1.5, 1.0, 9.0])
+    for name, pauli in generators.items():
+        gate = Gate(name, tuple(range(len(pauli))), angle=theta)
+        np.testing.assert_allclose(gate.realized(), expm_unitary(kron_chain(pauli) / 2, theta),
+                                   atol=1e-12)
+        stack = gate.realized(times)
+        assert stack.shape == (times.size,) + (2 ** len(pauli),) * 2
+        for t, m in zip(times, stack):
+            np.testing.assert_allclose(m, expm_unitary(kron_chain(pauli) / 2, theta * t),
+                                       atol=1e-12)
     h = Gate("H", (0,)).realized()
     np.testing.assert_allclose(h @ h, np.eye(2), atol=1e-14)
 
