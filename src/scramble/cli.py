@@ -120,12 +120,42 @@ def _read(data, table: dict, where: str = "") -> dict:
     return values
 
 
+def _path_to(node, target, where: str = "") -> str | None:
+    """The path of JSON object ``target`` within ``node`` ("syk", "gates[2]"), or None."""
+    if node is target:
+        return where
+    if isinstance(node, dict):
+        children = ((f"{where}.{key}" if where else key, child) for key, child in node.items())
+    elif isinstance(node, list):
+        children = ((f"{where}[{i}]", child) for i, child in enumerate(node))
+    else:
+        return None
+    for path, child in children:
+        found = _path_to(child, target, path)
+        if found is not None:
+            return found
+    return None
+
+
 def _json_object(text: str) -> dict:
-    """Decode a JSON document whose top level must be an object."""
+    """Decode a JSON document whose top level must be an object, with no key repeated."""
+    repeated = []
+
+    def unique(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            keys = [key for key, _ in pairs]
+            repeated.append((obj, next(key for key in keys if keys.count(key) > 1)))
+        return obj
+
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    if repeated:  # json.loads keeps a repeated key's last value, which would hide the others
+        obj, key = repeated[0]
+        where = _path_to(data, obj)
+        raise ConfigError(f"{where}.{key}: repeated field" if where else f"{key}: repeated field")
     _expect(isinstance(data, dict), "top level: expected an object")
     return data
 

@@ -118,7 +118,10 @@ def mutual_information_rate(h: ComplexMatrix, rho_s: DensityMatrix, part: Bipart
     I_dot = i tr(tr_B(C) ln rho_A) + i tr(tr_A(C) ln rho_B) with C = [H, rho],
     from S_dot_X = -tr(rho_dot_X ln rho_X) with the global entropy constant.
     ``rho_s`` is one state, giving a float, or a (..., d, d) stack, giving an
-    array over the leading axes.
+    array over the leading axes. I_dot scales with H, and so does the
+    imaginary residue it may carry: the residue is refused past IMAG_TOL
+    times max(1, max|H|), so a run and its copy with H and 1/t rescaled pass
+    or fail together.
     """
     h = check_hermitian(h, "Hamiltonian")
     rho_s = check_density_matrix(rho_s, "rho_S")
@@ -129,7 +132,7 @@ def mutual_information_rate(h: ComplexMatrix, rho_s: DensityMatrix, part: Bipart
     val = 1j * (_trace_product(partial_trace(comm, part, "A"), _log_marginal(wa, va))
                 + _trace_product(partial_trace(comm, part, "B"), _log_marginal(wb, vb)))
     residue = np.abs(val.imag).max()
-    if residue > IMAG_TOL:
+    if residue > IMAG_TOL * max(1.0, np.abs(h).max()):
         raise ValueError(f"mutual-information rate imaginary residue {residue:.3e}")
     return float_or_array(val.real)
 

@@ -34,7 +34,7 @@ TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10  # spectrum entries in [floor, 0) are round-off
 ENTROPY_FLOOR = -1e-9  # entropies in [floor, 0) are clamped to 0
 PURITY_TOL = 1e-8  # tr(rho^2) >= 1 - tol counts as pure
-IMAG_TOL = 1e-9  # largest imaginary residue dropped from a real quantity
+IMAG_TOL = 1e-9  # largest imaginary residue of I_dot dropped, per unit of max(1, max|H|)
 RANK_TOL = 1e-9  # smallest marginal eigenvalue the rate channels accept
 PAIR_CUTOFF = 1e-12  # Liouville entries at or below this are skipped in pair sums
 GATE_UNITARITY_TOL = 1e-12

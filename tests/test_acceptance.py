@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from _fresh import fresh_python
 from _oracles import (
     central_difference,
     expm_unitary,
@@ -304,6 +305,57 @@ def test_criterion_9_bitwise_determinism_across_worker_counts(syk_ci_run, tmp_pa
     assert (syk_ci_run["summary"]["workers"], summary["workers"]) == (1, 3)
     assert rerun == syk_ci_run["bytes"]
     print("criterion 9: disorder preset byte-identical across 1 vs 3 workers")
+
+
+def _bound8_random(n_a, n_b, stop, samples, seed, **extra):
+    return {"kind": "bound8", "partition": {"n_a": n_a, "n_b": n_b},
+            "time_grid": {"start": 0.0, "stop": stop, "samples": samples},
+            "model": {"type": "random"}, "seed": seed, **extra}
+
+
+# Configs run twice, each time in a fresh interpreter: a preset name or a
+# config, and the changes the second run makes to it.
+FRESH_RERUNS = {
+    "otoc-sweep-2q": ("otoc-sweep-2q", {}),
+    "fig2-circuit": ("fig2-circuit", {}),
+    "bound8-3q": ("bound8-3q", {}),
+    # 200 samples span several rate chunks, each refilling its one W
+    "rates-2x2": (_bound8_random(2, 2, 10.0, 200, 5), {}),
+    "rates-5q": (_bound8_random(2, 3, 8.0, 5, 7, delta=1e-6), {}),
+    # d = 64: one 256 MiB W, built for the first sample and refilled for the other 3
+    "rates-6q": (_bound8_random(3, 3, 8.0, 4, 7, delta=1e-6), {}),
+    "ising-1x2": ({"kind": "bound8", "partition": {"n_a": 1, "n_b": 2},
+                   "time_grid": {"start": 0.0, "stop": 8.0, "samples": 21},
+                   "model": {"type": "ising_chain", "j": 0.9, "hx": 0.6}, "seed": 1}, {}),
+    # N = 12 at 1|5: 41 samples span 11 U(t) chunks per realization
+    "syk-12": ({"kind": "syk", "partition": {"n_a": 1, "n_b": 5},
+                "time_grid": {"start": 0.0, "stop": 20.0, "samples": 41},
+                "syk": {"n_majorana": 12, "q": 4, "j_squared": 2.0, "realizations": 3},
+                "seed": 7}, {"workers": 2}),
+}
+
+
+@pytest.mark.parametrize("name", FRESH_RERUNS)
+def test_criterion_9_bitwise_determinism_in_fresh_interpreters(name, tmp_path):
+    # Each run is a new `python -m scramble.cli run` with its own string-hash
+    # seed and one BLAS thread; the second rewrites the first's outputs.
+    config, changes = FRESH_RERUNS[name]
+    refs = [config, config]
+    if isinstance(config, dict):
+        refs = [tmp_path / f"{name}-{k}.json" for k in range(2)]
+        for ref, run_changes in zip(refs, ({}, changes)):
+            ref.write_text(json.dumps({**config, **run_changes, "output": f"out/{name}"}))
+    csvs = []
+    for hash_seed, ref in enumerate(refs, start=1):
+        proc = fresh_python("-m", "scramble.cli", "run", str(ref), cwd=tmp_path,
+                            hash_seed=hash_seed)
+        assert proc.returncode == 0, proc.stderr
+        csvs.append((tmp_path / "out" / f"{name}.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+    summary = json.loads((tmp_path / "out" / f"{name}.json").read_text())
+    assert summary.get("workers", 1) == changes.get("workers", 1)
+    print(f"criterion 9 [{name}]: byte-identical across fresh interpreters with hash seeds "
+          f"1 and 2, the second run {changes or 'unchanged'}")
 
 
 @pytest.mark.parametrize("name", cli.preset_names())

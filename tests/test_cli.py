@@ -5,13 +5,12 @@ import json
 import os
 import re
 import signal
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from _fresh import fresh_python
 from scramble import cli, entropy, liouville, models, qdense, scrambling
 from scramble.qdense import RANK_TOL
 
@@ -183,6 +182,23 @@ def test_run_bound8_ising_model(tmp_path):
     assert summary["violations"]["slack8"] == 0
 
 
+@pytest.mark.parametrize("n_a,n_b", [(1, 2), (2, 3)])
+def test_rescaled_ising_run_rescales_idot(tmp_path, n_a, n_b):
+    # c H on the grid t / c is the same dynamics, with Idot scaled by c. The
+    # imaginary residue of Idot scales with H as well: a bound on it that
+    # ignored that scale stopped the c = 1e6 run with exit 3.
+    idot = {}
+    for c in (1.0, 1e6, 1e8):
+        cfg = {"kind": "bound8", "partition": {"n_a": n_a, "n_b": n_b},
+               "time_grid": {"start": 0.0, "stop": 8.0 / c, "samples": 21},
+               "model": {"type": "ising_chain", "j": c, "hx": 0.7 * c}, "seed": 1,
+               "output": str(tmp_path / "ising")}
+        assert cli.main(["run", write_config(tmp_path, cfg)]) == 0
+        idot[c] = read_csv(cfg["output"] + ".csv")[1]["Idot"] / c
+    for c in (1e6, 1e8):
+        assert np.abs(idot[c] - idot[1.0]).max() <= 1e-12 * np.abs(idot[1.0]).max()
+
+
 def test_run_circuit_records_identity_gap(tmp_path):
     cfg = base_circuit_config(tmp_path, modified_otoc=False)
     assert cli.main(["run", write_config(tmp_path, cfg)]) == 0
@@ -214,8 +230,9 @@ def test_run_circuit_file_reference_relative_to_config(tmp_path):
         ],
     }
     (tmp_path / "circ.json").write_text(json.dumps(circuit))
-    cfg = base_circuit_config(tmp_path, circuit="circ.json")
-    assert cli.main(["run", write_config(tmp_path, cfg)]) == 0
+    path = write_config(tmp_path, base_circuit_config(tmp_path, circuit="circ.json"))
+    assert cli.main(["validate", path]) == 0
+    assert cli.main(["run", path]) == 0
 
 
 # --- determinism ----------------------------------------------------------------
@@ -362,6 +379,31 @@ def test_circuit_config_validation_errors(tmp_path, capsys, mutate, needle):
     assert needle in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("where,needle", [
+    ("top_level", "delta: repeated field"),
+    ("block", "syk.q: repeated field"),
+    ("gate_list", "circuit (gates.json): gates[1].angle: repeated field"),
+], ids=["top_level", "block", "gate_list"])
+def test_repeated_key_is_a_config_error(tmp_path, capsys, command, where, needle):
+    # json.loads keeps a repeated key's last value: "delta": 0.5, "delta": 1e-6
+    # ran at 1e-6, and the summary's config showed only that one.
+    if where == "top_level":
+        text = json.dumps({**bound8_config(tmp_path), "delta": 0.5})[:-1] + ', "delta": 1e-6}'
+    elif where == "block":
+        text = json.dumps(base_syk_config(tmp_path)).replace('"q": 4', '"q": 4, "q": 6')
+    else:
+        gates = [{"name": "H", "targets": [0]}, {"name": "RX", "targets": [1], "angle": 0.5}]
+        gates_text = json.dumps({"n_qubits": 2, "gates": gates})
+        (tmp_path / "gates.json").write_text(gates_text.replace('0.5', '0.5, "angle": 1.5'))
+        text = json.dumps(base_circuit_config(tmp_path, circuit="gates.json"))
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert cli.main([command, str(path)]) == 2
+    assert capsys.readouterr().err == f"config error: {needle}\n"
+    assert not list(tmp_path.glob("**/*.csv"))
+
+
 def test_modified_otoc_needs_single_qubit_side(tmp_path, capsys):
     cfg = base_circuit_config(
         tmp_path,
@@ -483,8 +525,10 @@ def test_bound8_delta_floor_is_twice_the_rank_tolerance(tmp_path, capsys, n_a, n
     }
     floor = 2 * RANK_TOL * 2 ** max(n_a, n_b)
     cfg["delta"] = floor / 2
-    assert cli.main(["run", write_config(tmp_path, cfg)]) == 2
-    assert f"delta: must be at least {floor!r}" in capsys.readouterr().err
+    path = write_config(tmp_path, cfg)
+    for command in ("validate", "run"):
+        assert cli.main([command, path]) == 2
+        assert f"delta: must be at least {floor!r}" in capsys.readouterr().err
     cfg["delta"] = floor
     assert cli.main(["run", write_config(tmp_path, cfg)]) == 0
 
@@ -571,10 +615,7 @@ def test_file_that_is_not_utf8_is_a_config_error(tmp_path, command, bad_file):
         needle = "config error: circuit: file not readable: gates.json: "
         (tmp_path / "gates.json").write_bytes(b"\xff")
         path.write_text(json.dumps(base_circuit_config(tmp_path, circuit="gates.json")))
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-m", "scramble.cli", command, str(path)],
-                          env=env, capture_output=True, text=True, timeout=60)
+    proc = fresh_python("-m", "scramble.cli", command, str(path))
     assert proc.returncode == 2
     assert needle in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -849,9 +890,7 @@ def test_import_loads_numpy_random():
     # numpy loads numpy.random lazily; importing it with the package keeps
     # that cost in start-up rather than in the first seeded run.
     code = "import sys, scramble.cli; sys.exit('numpy.random' not in sys.modules)"
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src}
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+    assert fresh_python("-c", code).returncode == 0
 
 
 def test_import_loads_no_process_pool_machinery():
@@ -860,8 +899,5 @@ def test_import_loads_no_process_pool_machinery():
     code = ("import sys, scramble.cli; "
             "sys.exit(' '.join(m for m in ('concurrent.futures', 'multiprocessing') "
             "if m in sys.modules) or None)")
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src}
-    run = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
-                         capture_output=True, text=True)
+    run = fresh_python("-c", code)
     assert run.returncode == 0, f"imported: {run.stderr.strip()}"

@@ -151,6 +151,22 @@ def test_mutual_information_rate_zero_at_product_states():
     assert abs(mutual_information_rate(h, rho, part)) < 1e-12
 
 
+@pytest.mark.parametrize("c", [1.0, 1e6, 1e8])
+def test_mutual_information_rate_refuses_an_imaginary_residue_relative_to_h(monkeypatch, c):
+    # I_dot = i (tr_A + tr_B), so a real part of either trace is an imaginary
+    # residue of I_dot. One of 1e-6 max|H| is refused at every scale of H.
+    part = Bipartition(1, 2)
+    h = c * random_hermitian(8, seeded_rng(910))
+    rho = random_density(8, seeded_rng(911))
+    scale = np.abs(h).max()
+    assert abs(mutual_information_rate(h, rho, part)) > 0.0
+    trace_product = liouville._trace_product
+    monkeypatch.setattr(liouville, "_trace_product",
+                        lambda a, b: trace_product(a, b) + 0.5e-6 * scale)
+    with pytest.raises(ValueError, match="imaginary residue"):
+        mutual_information_rate(h, rho, part)
+
+
 def test_rank_deficient_marginals_are_rejected_with_hint():
     part = Bipartition(1, 1)
     h = random_hermitian(4, seeded_rng(909))

@@ -1,5 +1,6 @@
 """Disorder models, the Ising chain and circuit construction."""
 
+import errno
 import json
 import math
 import os
@@ -581,6 +582,28 @@ def test_forked_worker_error_with_a_full_pipe_does_not_hang(monkeypatch):
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert_no_child_left()
+
+
+@forked
+def test_failed_fork_leaves_no_child_and_no_open_pipe(monkeypatch):
+    # The second fork fails once the first worker runs: the error reaches the
+    # caller, the first worker is reaped, and both pipes are closed.
+    fork = os.fork
+    forks = []
+
+    def fork_once():
+        forks.append(None)
+        if len(forks) > 1:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    open_fds = len(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(os, "fork", fork_once)
+    with pytest.raises(OSError) as raised:
+        models._forked_map(abs, [-1, -2, -3], 2)
+    assert raised.value.errno == errno.EAGAIN and len(forks) == 2
+    assert_no_child_left()
+    assert len(os.listdir("/proc/self/fd")) == open_fds
 
 
 @forked

@@ -40,6 +40,15 @@ def test_otoc_dimension_mismatch():
         otoc(SIGMA_X, SIGMA_X, np.eye(8), np.eye(8) / 8)
 
 
+@pytest.mark.parametrize("shape", [(3, 3), (2, 2, 4, 4)], ids=["3x3", "2x2x4x4"])
+@pytest.mark.parametrize("otoc_of", [averaged_otoc, modified_otoc])
+def test_otocs_refuse_a_unitary_of_the_wrong_shape(otoc_of, shape):
+    # 1|1 takes a (4, 4) unitary or a (T, 4, 4) stack of them.
+    u = np.broadcast_to(np.eye(shape[-1], dtype=complex), shape)
+    with pytest.raises(ValueError, match=rf"unitary shape \({shape[0]}, .* partition dim 4"):
+        otoc_of(Bipartition(1, 1), u)
+
+
 @pytest.mark.parametrize(
     "n_a,n_b,seed", [(1, 1, 0), (1, 2, 1), (2, 1, 2), (2, 2, 3), (1, 3, 4), (3, 1, 5)]
 )

@@ -55,11 +55,18 @@ ENTRY_POINTS = {
 PARTITIONED = {"mutual_information", "renyi2_mutual_information", "entropy_production_rates"}
 
 
-@pytest.mark.parametrize("bad", [*BAD_STATES, "wrong_dimension"])
-@pytest.mark.parametrize("entry", ENTRY_POINTS)
+# (entry point, bad input): every entry point with every bad state and with a
+# state of the wrong dimension; a stack of states to the entropies of one.
+BAD_INPUTS = [(entry, bad) for entry in ENTRY_POINTS for bad in [*BAD_STATES, "wrong_dimension"]]
+BAD_INPUTS += [("von_neumann", "stack"), ("renyi2", "stack")]
+
+
+@pytest.mark.parametrize("entry,bad", BAD_INPUTS, ids=[f"{e}-{b}" for e, b in BAD_INPUTS])
 def test_entry_points_reject_bad_input(entry, bad):
-    if bad != "wrong_dimension":
+    if bad in BAD_STATES:
         rho, needle = BAD_STATES[bad]
+    elif bad == "stack":
+        rho, needle = np.stack([np.eye(4, dtype=complex) / 4] * 2), "expected a matrix, got ndim=3"
     elif entry in PARTITIONED:
         # A valid state, but of 3 qubits against a 1|1 partition.
         rho, needle = np.eye(8, dtype=complex) / 8, "does not match partition|dimension mismatch"
