@@ -71,6 +71,9 @@ CHECKS = {
 }
 CIRCUIT_FIELDS = {"n_qubits": int, "gates": list}
 GATE_FIELDS = {"name": str, "targets": list, "angle": (float, None), "matrix": (list, None)}
+# A key's value where it repeats within one JSON object: json.loads would keep
+# only its last value, which would hide the others.
+_REPEATED = object()
 
 
 class ConfigError(ValueError):
@@ -97,6 +100,7 @@ def _field(data: dict, name: str, kind: type, where: str = ""):
     """The required field ``name`` of ``data``, of type ``kind``; a float must be finite."""
     path = f"{where}.{name}" if where else name
     _expect(name in data, f"{path}: missing required field")
+    _expect(data[name] is not _REPEATED, f"{path}: repeated field")
     value = _real(data[name]) if kind is float else data[name]
     _expect(type(value) is kind, f"{path}: expected {kind.__name__}")
     _expect(kind is not float or math.isfinite(value), f"{path}: expected a finite number")
@@ -105,6 +109,7 @@ def _field(data: dict, name: str, kind: type, where: str = ""):
 
 def _read(data, table: dict, where: str = "") -> dict:
     """The fields of JSON object ``data`` as ``table`` types them; no key outside it."""
+    _expect(data is not _REPEATED, f"{where}: repeated field")
     _expect(isinstance(data, dict), f"{where}: missing or not an object")
     prefix = f"{where}." if where else ""
     for key in data:
@@ -120,42 +125,22 @@ def _read(data, table: dict, where: str = "") -> dict:
     return values
 
 
-def _path_to(node, target, where: str = "") -> str | None:
-    """The path of JSON object ``target`` within ``node`` ("syk", "gates[2]"), or None."""
-    if node is target:
-        return where
-    if isinstance(node, dict):
-        children = ((f"{where}.{key}" if where else key, child) for key, child in node.items())
-    elif isinstance(node, list):
-        children = ((f"{where}[{i}]", child) for i, child in enumerate(node))
-    else:
-        return None
-    for path, child in children:
-        found = _path_to(child, target, path)
-        if found is not None:
-            return found
-    return None
+def _unique(pairs: list) -> dict:
+    """A JSON object whose repeated keys hold _REPEATED, which the field readers refuse."""
+    obj = {}
+    for key, value in pairs:
+        obj[key] = _REPEATED if key in obj else value
+    return obj
 
 
 def _json_object(text: str) -> dict:
-    """Decode a JSON document whose top level must be an object, with no key repeated."""
-    repeated = []
-
-    def unique(pairs: list) -> dict:
-        obj = dict(pairs)
-        if len(obj) < len(pairs):
-            keys = [key for key, _ in pairs]
-            repeated.append((obj, next(key for key in keys if keys.count(key) > 1)))
-        return obj
-
+    """Decode a JSON document whose top level must be an object."""
     try:
-        data = json.loads(text, object_pairs_hook=unique)
+        data = json.loads(text, object_pairs_hook=_unique)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from None
-    if repeated:  # json.loads keeps a repeated key's last value, which would hide the others
-        obj, key = repeated[0]
-        where = _path_to(data, obj)
-        raise ConfigError(f"{where}.{key}: repeated field" if where else f"{key}: repeated field")
+    except RecursionError:
+        raise ConfigError("top level: nested too deeply") from None
     _expect(isinstance(data, dict), "top level: expected an object")
     return data
 
@@ -183,8 +168,6 @@ def _matrix(rows: list, path: str) -> np.ndarray:
 
 def _gate_from_json(obj, where: str) -> Gate:
     gate = _read(obj, GATE_FIELDS, where)
-    _expect(all(type(t) is int for t in gate["targets"]),
-            f"{where}.targets: expected a list of qubit indices")
     matrix = None if gate["matrix"] is None else _matrix(gate["matrix"], f"{where}.matrix")
     return Gate(gate["name"].upper(), tuple(gate["targets"]), gate["angle"], matrix)
 

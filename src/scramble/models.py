@@ -179,13 +179,20 @@ class Gate:
         """
         _, fixed, angled = _GATES[self.name]
         if not angled:
-            return self.matrix if fixed is None else fixed
+            return np.asarray(self.matrix, dtype=complex) if fixed is None else fixed
         half = np.asarray(self.angle * t / 2.0)[..., None, None]
         return np.cos(half) * np.eye(len(fixed)) - 1j * np.sin(half) * fixed
 
 
+def _is_a(value, kinds: tuple) -> bool:
+    """Whether ``value`` is an instance of the number ``kinds``, a bool excluded."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 def _validate_gate(gate: Gate, index: int, n_qubits: int) -> None:
     where = f"gates[{index}]"
+    if not (np.iterable(gate.targets) and all(_is_a(t, (int, np.integer)) for t in gate.targets)):
+        raise ValueError(f"{where}.targets: expected a list of qubit indices")
     if gate.name not in _GATES:
         raise ValueError(f"{where}.name: unknown gate {gate.name!r}")
     arity, fixed, angled = _GATES[gate.name]
@@ -201,16 +208,21 @@ def _validate_gate(gate: Gate, index: int, n_qubits: int) -> None:
     if angled:
         if gate.angle is None:
             raise ValueError(f"{where}.angle: {gate.name} requires an angle")
-        if not math.isfinite(gate.angle):
+        if not (_is_a(gate.angle, (int, float, np.integer, np.floating))
+                and math.isfinite(gate.angle)):
             raise ValueError(f"{where}.angle: not a finite number")
     elif gate.angle is not None:
         raise ValueError(f"{where}.angle: {gate.name} takes no angle")
     if fixed is None:
-        if gate.matrix is None or np.shape(gate.matrix) != (4, 4):
+        try:
+            matrix = np.asarray(gate.matrix, dtype=complex)
+        except (TypeError, ValueError):
+            matrix = None
+        if np.shape(matrix) != (4, 4):
             raise ValueError(f"{where}.matrix: CUSTOM requires a 4x4 matrix")
-        if not np.isfinite(gate.matrix).all():
+        if not np.isfinite(matrix).all():
             raise ValueError(f"{where}.matrix: non-finite entry")
-        dev = np.abs(gate.matrix @ gate.matrix.conj().T - np.eye(4)).max()
+        dev = np.abs(matrix @ matrix.conj().T - np.eye(4)).max()
         if dev > GATE_UNITARITY_TOL:
             raise ValueError(f"{where}.matrix: not unitary (deviation {dev:.3e})")
     elif gate.matrix is not None:
@@ -225,6 +237,8 @@ class CircuitSpec:
     gates: tuple[Gate, ...]
 
     def __post_init__(self):
+        if not _is_a(self.n_qubits, (int, np.integer)):
+            raise ValueError("n_qubits: expected an integer")
         if self.n_qubits < 1:
             raise ValueError("n_qubits: must be at least 1")
         object.__setattr__(self, "gates", tuple(self.gates))

@@ -384,7 +384,10 @@ def test_circuit_config_validation_errors(tmp_path, capsys, mutate, needle):
     ("top_level", "delta: repeated field"),
     ("block", "syk.q: repeated field"),
     ("gate_list", "circuit (gates.json): gates[1].angle: repeated field"),
-], ids=["top_level", "block", "gate_list"])
+    ("kind", "kind: repeated field"),
+    ("whole_block", "syk: repeated field"),
+    ("model_type", "model.type: repeated field"),
+], ids=["top_level", "block", "gate_list", "kind", "whole_block", "model_type"])
 def test_repeated_key_is_a_config_error(tmp_path, capsys, command, where, needle):
     # json.loads keeps a repeated key's last value: "delta": 0.5, "delta": 1e-6
     # ran at 1e-6, and the summary's config showed only that one.
@@ -392,6 +395,13 @@ def test_repeated_key_is_a_config_error(tmp_path, capsys, command, where, needle
         text = json.dumps({**bound8_config(tmp_path), "delta": 0.5})[:-1] + ', "delta": 1e-6}'
     elif where == "block":
         text = json.dumps(base_syk_config(tmp_path)).replace('"q": 4', '"q": 4, "q": 6')
+    elif where == "kind":
+        text = json.dumps(bound8_config(tmp_path)).replace('"bound8"', '"bound8", "kind": "bound8"')
+    elif where == "whole_block":
+        cfg = base_syk_config(tmp_path)
+        text = json.dumps(cfg)[:-1] + f', "syk": {json.dumps(cfg["syk"])}}}'
+    elif where == "model_type":
+        text = json.dumps(bound8_config(tmp_path)).replace('"random"', '"random", "type": "random"')
     else:
         gates = [{"name": "H", "targets": [0]}, {"name": "RX", "targets": [1], "angle": 0.5}]
         gates_text = json.dumps({"n_qubits": 2, "gates": gates})
@@ -399,6 +409,36 @@ def test_repeated_key_is_a_config_error(tmp_path, capsys, command, where, needle
         text = json.dumps(base_circuit_config(tmp_path, circuit="gates.json"))
     path = tmp_path / "config.json"
     path.write_text(text)
+    assert cli.main([command, str(path)]) == 2
+    assert capsys.readouterr().err == f"config error: {needle}\n"
+    assert not list(tmp_path.glob("**/*.csv"))
+
+
+def test_repeated_key_beneath_an_unknown_key_is_the_unknown_key(tmp_path):
+    # A config reports its first fault in field-table order: the unknown key
+    # "x", not a path 980 levels down to the repeated "q" within it. A fresh
+    # interpreter parses it: under pytest's stack, 980 levels pass the
+    # recursion limit.
+    nested = '{"a": ' * 980 + '{"q": 1, "q": 2}' + "}" * 980
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(base_syk_config(tmp_path))[:-1] + f', "x": {nested}}}')
+    proc = fresh_python("-m", "scramble.cli", "validate", str(path))
+    assert (proc.returncode, proc.stderr) == (2, "config error: x: unknown field\n")
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("deep_file", ["config", "gate_list"])
+def test_deep_nesting_is_a_config_error(tmp_path, capsys, command, deep_file):
+    # json.loads raises RecursionError on 100,000 nested arrays.
+    deep = '{"n_qubits": ' + "[" * 100_000 + "]" * 100_000 + "}"
+    path = tmp_path / "config.json"
+    if deep_file == "config":
+        needle = "top level: nested too deeply"
+        path.write_text(deep)
+    else:
+        needle = "circuit (deep.json): top level: nested too deeply"
+        (tmp_path / "deep.json").write_text(deep)
+        path.write_text(json.dumps(base_circuit_config(tmp_path, circuit="deep.json")))
     assert cli.main([command, str(path)]) == 2
     assert capsys.readouterr().err == f"config error: {needle}\n"
     assert not list(tmp_path.glob("**/*.csv"))

@@ -253,11 +253,46 @@ def test_gate_realized_matches_exponentials():
         (Gate("H", (0,), matrix=np.eye(2)), "only CUSTOM"),
         (Gate("RX", (0,), angle=math.nan), r"gates\[0\].angle: not a finite"),
         (Gate("CUSTOM", (0, 1), matrix=np.full((4, 4), np.inf)), r"gates\[0\].matrix: non-finite"),
+        # A library caller meets the checks a gate-list file does: a float
+        # target reached numpy's TypeError in realize_circuit, and True
+        # acted on qubit 1.
+        pytest.param(Gate("H", (0.0,)), r"^gates\[0\]\.targets: expected a list of qubit indices$",
+                     id="float-target"),
+        pytest.param(Gate("X", (True,)), r"^gates\[0\]\.targets: expected a list of qubit indices$",
+                     id="bool-target"),
+        pytest.param(Gate("H", 0), r"^gates\[0\]\.targets: expected a list of qubit indices$",
+                     id="scalar-targets"),
+        pytest.param(Gate("RX", (0,), angle="1"), r"^gates\[0\]\.angle: not a finite number$",
+                     id="string-angle"),
+        pytest.param(Gate("RX", (0,), angle=True), r"^gates\[0\]\.angle: not a finite number$",
+                     id="bool-angle"),
+        pytest.param(Gate("CUSTOM", (0, 1), matrix=[[1, 0], [0]]), r"^gates\[0\]\.matrix: CUSTOM",
+                     id="ragged-matrix"),
     ],
 )
 def test_gate_validation_errors(gate, match):
     with pytest.raises(ValueError, match=match):
         CircuitSpec(3, [gate])
+
+
+@pytest.mark.parametrize("n_qubits,match", [
+    (2.0, r"^n_qubits: expected an integer$"),  # validated, then failed in realize_circuit
+    (True, r"^n_qubits: expected an integer$"),  # was a one-qubit register
+], ids=["float", "bool"])
+def test_circuit_register_size_errors(n_qubits, match):
+    with pytest.raises(ValueError, match=match):
+        CircuitSpec(n_qubits, [])
+
+
+def test_gates_take_numpy_integers_and_nested_list_matrices():
+    # Python and numpy integers are both qubit indices, and a CUSTOM matrix
+    # given as nested lists realizes bitwise as the array it lists.
+    u = np.linalg.qr(haar_state(16, np.random.default_rng(4)).reshape(4, 4))[0]
+    times = np.array([0.0, 0.3, 1.0])
+    as_array = CircuitSpec(3, [Gate("RX", (2,), angle=0.4), Gate("CUSTOM", (0, 2), matrix=u)])
+    as_lists = CircuitSpec(3, [Gate("RX", (np.int64(2),), angle=np.float64(0.4)),
+                               Gate("CUSTOM", (np.int32(0), 2), matrix=u.tolist())])
+    assert realize_circuit(as_lists, times).tobytes() == realize_circuit(as_array, times).tobytes()
 
 
 def test_circuit_spec_is_frozen_with_tuple_gates():
@@ -406,6 +441,8 @@ def test_parse_circuit_json_custom_matrix_roundtrip():
             r"gates\[0\].matrix",
         ),
         ('{"n_qubits": 2, "gates": [{"name": "H", "targets": [true]}]}', r"gates\[0\].targets"),
+        pytest.param('{"n_qubits": 2, "gates": [{"name": "H", "targets": [0.0]}]}',
+                     r"^gates\[0\]\.targets: expected a list of qubit indices$", id="float-target"),
         (
             '{"n_qubits": 2, "gates": [{"name": "RX", "targets": [0], "angle": true}]}',
             r"gates\[0\].angle",
