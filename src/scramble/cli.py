@@ -312,9 +312,9 @@ def _rewrite(path: str, text: str) -> None:
 def write_csv(path: str, table: dict[str, np.ndarray]) -> None:
     """One row per time sample; the COLUMNS present in ``table``, in order."""
     header = [c for c in COLUMNS if c in table]
-    row = ",".join(["{:.16e}"] * len(header))
+    row = ",".join(["%.16e"] * len(header))
     columns = [np.asarray(table[c]).tolist() for c in header]
-    lines = [",".join(header)] + [row.format(*values) for values in zip(*columns, strict=True)]
+    lines = [",".join(header)] + [row % values for values in zip(*columns, strict=True)]
     _rewrite(path, "\n".join(lines) + "\n")
 
 
@@ -438,9 +438,9 @@ def cmd_run(ref: str) -> int:
         _remove_outputs(cfg.output, (".json",) if isinstance(exc, AssertionViolation)
                         else (".json", ".csv"))
         return 3
-    except (ChildProcessError, MemoryError) as exc:
-        # A SYK worker died without a result (a signal, the OOM killer), or an
-        # array did not fit in memory, before this run's CSV is complete.
+    except (OSError, MemoryError) as exc:
+        # The OS lost the run before its CSV was complete: a worker killed, a fork or
+        # pipe refused, an array too large. _writing made output-path OSErrors ConfigErrors.
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         _remove_outputs(cfg.output, (".json", ".csv"))
         return 1

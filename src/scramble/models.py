@@ -324,11 +324,11 @@ def _forked_map(fn, jobs: Sequence, workers: int) -> list:
     Child w maps jobs[w::workers] and writes ("ok", results) or ("error", exc),
     pickled, to its own pipe, then leaves through os._exit, so it never returns
     into the caller's frames or flushes the buffers it inherited. The parent
-    reads the pipes to EOF in worker order and re-raises a child's exception;
-    an empty pipe means the child died without reporting (a signal, the OOM
-    killer). Every read end is closed before any child is waited for: a child
-    blocked writing more than a pipe buffer gets EPIPE instead of deadlocking
-    a parent that is raising.
+    unpickles the pipes in worker order and re-raises a child's exception; an
+    empty or cut-short pipe means the child died without reporting (a signal,
+    the OOM killer). Every read end is closed before any child is waited for:
+    a child blocked writing more than a pipe buffer gets EPIPE instead of
+    deadlocking a parent that is raising.
     """
     pids: list[int] = []
     reads: list[int] = []
@@ -360,12 +360,11 @@ def _forked_map(fn, jobs: Sequence, workers: int) -> list:
             pids.append(pid)
             os.close(wr)
         for w, (pid, r) in enumerate(zip(pids, reads)):
-            chunks = []
-            while chunk := os.read(r, 1 << 16):
-                chunks.append(chunk)
-            if not chunks:
+            try:
+                with open(r, "rb", closefd=False) as pipe:
+                    kind, payload = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
                 raise ChildProcessError(f"worker process {pid} exited without a result")
-            kind, payload = pickle.loads(b"".join(chunks))
             if kind == "error":
                 raise payload
             results[w::workers] = payload

@@ -1,6 +1,7 @@
 """Experiment-runner CLI: config validation, outputs, determinism, exit codes."""
 
 import csv
+import errno
 import json
 import os
 import re
@@ -906,6 +907,39 @@ def test_killed_worker_exits_1_without_traceback(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "exited without a result" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "out" / "syk.csv").exists()
+    assert not (tmp_path / "out" / "syk.json").exists()
+
+
+def refuse_fork(monkeypatch):
+    def refused():
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", refused)
+
+
+def cut_results_short(monkeypatch):
+    dumps = models.pickle.dumps
+    monkeypatch.setattr(models.pickle, "dumps", lambda obj: dumps(obj)[:-10])
+
+
+@pytest.mark.parametrize("lose, message", [
+    (refuse_fork, f"error: [Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}\n"),
+    (cut_results_short, "exited without a result"),
+], ids=["refused_fork", "cut_short_result"])
+def test_run_lost_to_the_os_exits_1_like_a_killed_worker(tmp_path, capsys, monkeypatch,
+                                                          lose, message):
+    # A good 2-worker run first leaves a CSV and a summary at the same output.
+    cfg = base_syk_config(tmp_path, workers=2)
+    assert cli.main(["run", write_config(tmp_path, cfg)]) == 0
+    assert (tmp_path / "out" / "syk.csv").exists()
+    # A fork the OS refuses, or a worker result cut short, loses the run as a
+    # killed worker does: exit 1, one error line, no outputs of the earlier run.
+    lose(monkeypatch)
+    cfg = base_syk_config(tmp_path, seed=1, workers=2)
+    assert cli.main(["run", write_config(tmp_path, cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
     assert not (tmp_path / "out" / "syk.csv").exists()
     assert not (tmp_path / "out" / "syk.json").exists()
 

@@ -658,6 +658,17 @@ def test_killed_forked_worker_raises_child_process_error(monkeypatch):
     assert_no_child_left()
 
 
+@forked
+def test_cut_short_worker_result_raises_child_process_error(monkeypatch):
+    # A result pipe that ends before its pickle does is a lost worker, as an
+    # empty one is.
+    dumps = models.pickle.dumps
+    monkeypatch.setattr(models.pickle, "dumps", lambda obj: dumps(obj)[:-10])
+    with pytest.raises(ChildProcessError, match="exited without a result"):
+        models._forked_map(abs, [-1, -2, -3], 2)
+    assert_no_child_left()
+
+
 def test_syk_trajectory_partition_mismatch():
     cfg = syk_config()
     with pytest.raises(ValueError):
