@@ -6,8 +6,8 @@ round-off negatives above ENTROPY_FLOOR are clamped to +0.0 on output.
 The two mutual informations also accept a pure global state as a ket. For a
 pure state S_S = 0 and S_A = S_B (Page, PRL 71, 1291 (1993)), so I = 2 S_A
 and I2 = 2 S2_A. Reshape the ket into M (d_A x d_B); then rho_A = M M^dag and
-rho_B = (M^dag M)^T share their nonzero spectrum, and the entropies come from
-whichever Gram matrix is smaller, without ever forming the d x d state.
+rho_B = (M^dag M)^T share their nonzero spectrum, and the entropies are
+norms of the smaller, qdense.gram(M), without ever forming the d x d state.
 
 A 2-D array is a density matrix. A 1-D array is one ket; a (..., d_A, d_B)
 array of at least three dimensions is a stack of kets, each given as its
@@ -28,9 +28,9 @@ from .qdense import (
     DensityMatrix,
     as_complex_matrix,
     check_density_matrix,
-    dagger,
     float_or_array,
     frobenius_sq,
+    gram,
     partial_trace,
 )
 
@@ -77,7 +77,7 @@ def renyi2(rho: DensityMatrix) -> float:
 
 
 def _ket_gram(psi: np.ndarray, part: Bipartition) -> np.ndarray:
-    """Validate a ket or a ket stack; return the reduced states of the smaller block.
+    """Validate a ket or a ket stack; return gram(M) of each: rho_A, or rho_B^T if d_A > d_B.
 
     A 1-D ket is the zero-dimensional stack. An error names a stack's first
     bad slice by its flat index over the leading axes.
@@ -98,7 +98,7 @@ def _ket_gram(psi: np.ndarray, part: Bipartition) -> np.ndarray:
     bad = np.flatnonzero(np.abs(norm2 - 1.0) > TRACE_TOL)
     if bad.size:
         raise ValueError(f"ket{where.format(bad[0])} squared norm {norm2[bad[0]]} differs from 1")
-    return psi @ dagger(psi) if part.dim_a <= part.dim_b else psi.swapaxes(-1, -2) @ psi.conj()
+    return gram(psi)
 
 
 def mutual_information(state: np.ndarray, part: Bipartition):

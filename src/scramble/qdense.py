@@ -100,6 +100,14 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
+def gram(m: np.ndarray) -> np.ndarray:
+    """M M^dag of each (r, c) matrix of a stack if r <= c, else M^dag M: the smaller Gram.
+
+    The two share their Frobenius norm and nonzero spectrum.
+    """
+    return m @ dagger(m) if m.shape[-2] <= m.shape[-1] else dagger(m) @ m
+
+
 def check_hermitian(m: ComplexMatrix, name: str = "matrix") -> ComplexMatrix:
     """Coerce to a square complex matrix, or a stack of them, Hermitian to tolerance."""
     m = as_complex_stack(m)

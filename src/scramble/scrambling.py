@@ -5,17 +5,22 @@ for the Haar measure. The 4^n strings on n qubits satisfy the twirl identity
 
     sum_P P (x) P = 2^n SWAP,
 
-which turns each string average into a contraction of U(t) with itself. In
-the maximally mixed state the average is the operator purity of U across the
-A|B cut (Zanardi, PRA 63, 040304 (2001); Styliaris, Anand & Zanardi, PRL 126,
-030601 (2021)): realign U[(a',b'),(a,b)] into Y[(a',a),(b',b)], then
+which turns each string average into a contraction of U(t) with itself, and
+both OTOCs into norms of one Gram matrix. Realign U[(a',b'),(a,b)] into
+Y[(a',a),(b',b)] and take G = qdense.gram(Y), which is Y Y^dag, on A's side,
+when d_A <= d_B; G / d is then the marginal of U's Choi state on A's output
+and input (Hosur, Qi, Roberts & Yoshida, JHEP 02 (2016) 004). In the
+maximally mixed state the average is the operator purity of U across the A|B
+cut (Zanardi, PRA 63, 040304 (2001); Styliaris, Anand & Zanardi, PRL 126,
+030601 (2021)),
 
-    Obar = |Y Y^dag|_F^2 / d^2,
+    Obar = |G|_F^2 / d^2,
 
-one minus the linear operator entanglement of U. The modified OTOC follows
-from the same identity. No string is ever enumerated; the literal double sum
-over every (A-string, B-string) pair stays in tests/_oracles.py as the
-independent oracle.
+one minus the linear operator entanglement of U. For a single-qubit A, the
+state-transfer OTOC's K_j = tr_B(U (|0><j| x I_B) U^dag) is the a = 0 row
+block of G, K_j[x, z] = G[(x, 0), (z, j)]. No string is ever enumerated; the
+literal double sum over every (A-string, B-string) pair stays in
+tests/_oracles.py as the independent oracle.
 """
 
 from __future__ import annotations
@@ -34,14 +39,25 @@ from .qdense import (
     as_complex_stack,
     check_density_matrix,
     check_time_grid,
-    dagger,
     eigh,
     float_or_array,
     frobenius_sq,
+    gram,
     partial_trace,
     time_chunks,
     unitary_family,
 )
+
+
+def _realigned_gram(part: Bipartition, u_t) -> ComplexMatrix:
+    """G = qdense.gram(Y) of U's realignment Y (module docstring), slice by slice."""
+    u_t = as_complex_stack(u_t)
+    if u_t.ndim > 3 or u_t.shape[-2:] != (part.dim, part.dim):
+        raise ValueError(f"unitary shape {u_t.shape} does not match partition dim {part.dim}")
+    d_a, d_b = part.dim_a, part.dim_b
+    lead = u_t.shape[:-2]
+    y = u_t.reshape(lead + (d_a, d_b, d_a, d_b)).swapaxes(-3, -2)
+    return gram(y.reshape(lead + (d_a * d_a, d_b * d_b)))
 
 
 def averaged_otoc(part: Bipartition, u_t: ComplexMatrix):
@@ -50,48 +66,24 @@ def averaged_otoc(part: Bipartition, u_t: ComplexMatrix):
     The expectation state is the maximally mixed one. ``u_t`` is one (d, d)
     unitary, giving a float, or a (T, d, d) stack, giving a (T,) array.
     """
-    u_t = _unitary_stack(part, u_t)
-    d_a, d_b = part.dim_a, part.dim_b
-    lead = u_t.shape[:-2]
-    y = u_t.reshape(lead + (d_a, d_b, d_a, d_b)).swapaxes(-3, -2)
-    y = y.reshape(lead + (d_a * d_a, d_b * d_b))
-    # |Y Y^dag|_F = |Y^dag Y|_F: form the Gram matrix on the smaller side.
-    gram = y @ dagger(y) if d_a <= d_b else dagger(y) @ y
-    return float_or_array(frobenius_sq(gram) / part.dim**2)
-
-
-def _unitary_stack(part: Bipartition, u_t) -> ComplexMatrix:
-    u_t = as_complex_stack(u_t)
-    if u_t.ndim > 3 or u_t.shape[-2:] != (part.dim, part.dim):
-        raise ValueError(f"unitary shape {u_t.shape} does not match partition dim {part.dim}")
-    return u_t
+    return float_or_array(frobenius_sq(_realigned_gram(part, u_t)) / part.dim**2)
 
 
 def modified_otoc(part: Bipartition, u_t: ComplexMatrix):
     """State-transfer OTOC with O_1 = |0><phi| on the first qubit.
 
     Averages over the six single-qubit stabilizer states phi and the
-    B-register Pauli strings, in the maximally mixed expectation state.
-    The string average is exact: sum_P tr(X Q_P Y Q_P) with Q_P = U^dag P U
-    equals d_B tr(tr_B(U X U^dag) tr_B(U Y U^dag)), and with X = O_1^dag,
-    Y = O_1 that is d_B |K_phi|_F^2, K_phi = tr_B(U O_1 U^dag). K_phi is
-    linear in conj(phi), and the six phi resolve the identity,
-    sum_phi phi phi^dag = 3 I, so with K_j = tr_B(U (|0><j| x I_B) U^dag)
-
-        mean = sum_j |K_j|_F^2 / (2 d d_B),
-
-    exactly 1/2 at t = 0. ``u_t`` is one (d, d) unitary, giving a float, or a
-    (T, d, d) stack, giving a (T,) array.
+    B-register Pauli strings, in the maximally mixed expectation state. The
+    six phi resolve the identity, sum_phi phi phi^dag = 3 I, so the average
+    is sum_j |K_j|_F^2 / (2 d d_B), exactly 1/2 at t = 0; n_a = 1 puts G on
+    A's side, and the K_j are its a = 0 rows (module docstring). ``u_t`` is
+    one (d, d) unitary, giving a float, or a (T, d, d) stack, giving a (T,)
+    array.
     """
     if part.n_a != 1:
         raise ValueError("the state-transfer OTOC requires a single-qubit A subsystem")
-    u_t = _unitary_stack(part, u_t)
-    lead = u_t.shape[:-2]
-    v = u_t.reshape(lead + (2, part.dim_b, 2, part.dim_b))
-    # K_j[x, z] = sum_yb U[(x,y),(0,b)] conj(U[(z,y),(j,b)]); |0> is the a = 0 slice.
-    k = np.einsum("...xyb,...zyjb->...jxz", v[..., 0, :], v.conj())
-    total = frobenius_sq(k.reshape(lead + (2, 4)))
-    return float_or_array(total / (2 * part.dim * part.dim_b))
+    k = _realigned_gram(part, u_t)[..., ::2, :]
+    return float_or_array(frobenius_sq(k) / (2 * part.dim * part.dim_b))
 
 
 def _unitary_supplier(h_or_unitary) -> Callable[[np.ndarray], ComplexMatrix]:

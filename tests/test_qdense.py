@@ -8,7 +8,10 @@ from scramble.qdense import (
     Bipartition,
     as_complex_matrix,
     check_density_matrix,
+    dagger,
     eigh,
+    frobenius_sq,
+    gram,
     partial_trace,
     random_hermitian,
     seeded_rng,
@@ -87,6 +90,24 @@ def test_partial_trace_preserves_trace_and_rejects_bad_keep():
     assert np.trace(partial_trace(rho, part, "B")) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         partial_trace(rho, part, "c")
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 5), (3, 4, 4), (3, 6, 3)], ids=["r<c", "r=c", "r>c"])
+def test_gram_is_the_smaller_side(shape):
+    rng = seeded_rng(12, *shape)
+    m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    m /= np.linalg.norm(m, axis=(-2, -1), keepdims=True)
+    r, c = shape[-2:]
+    rows, cols = m @ dagger(m), dagger(m) @ m
+    g = gram(m)
+    assert g.shape == (shape[0], min(r, c), min(r, c))
+    np.testing.assert_array_equal(g, rows if r <= c else cols)
+    # Both sides share the Frobenius norm and the nonzero spectrum.
+    np.testing.assert_allclose(frobenius_sq(rows), frobenius_sq(cols), rtol=0, atol=1e-14)
+    k = min(r, c)
+    np.testing.assert_allclose(
+        np.linalg.eigvalsh(rows)[..., -k:], np.linalg.eigvalsh(cols)[..., -k:], rtol=0, atol=1e-14
+    )
 
 
 def test_eigh_reconstructs_and_sorts():

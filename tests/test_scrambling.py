@@ -59,6 +59,8 @@ def test_averaged_otoc_matches_literal_double_sum(n_a, n_b, seed):
     literal = averaged_otoc_literal(n_a, n_b, u)
     assert abs(literal.imag) < 1e-12
     assert fast == pytest.approx(literal.real, abs=1e-12)
+    # The closed form sums exact integers at U = I, on either side of the cut.
+    assert averaged_otoc(part, np.eye(part.dim)) == 1.0
 
 
 @pytest.mark.parametrize("t", [0.0, 0.2, 0.7, 1.3])
@@ -130,9 +132,12 @@ def test_modified_otoc_half_at_time_zero():
     part = Bipartition(1, 2)
     h = random_hermitian(part.dim, seeded_rng(400))
     assert modified_otoc(part, unitary_family(*eigh(h))(0.0)) == pytest.approx(0.5, abs=1e-12)
+    # The row-block form sums exact integers at U = I.
+    for n_b in (1, 4):
+        assert modified_otoc(Bipartition(1, n_b), np.eye(2 ** (n_b + 1))) == 0.5
 
 
-@pytest.mark.parametrize("n_b,seed", [(1, 0), (2, 1), (3, 2)])
+@pytest.mark.parametrize("n_b,seed", [(1, 0), (2, 1), (3, 2), (4, 3)])
 def test_modified_otoc_matches_literal(n_b, seed):
     part = Bipartition(1, n_b)
     u = haar_unitary(part.dim, seeded_rng(500, seed))
