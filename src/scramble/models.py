@@ -275,10 +275,9 @@ def scrambler_preset() -> CircuitSpec:
 
     A fixed Hadamard layer (local, so U(0) stays a product unitary) followed
     by ZZ couplings on all pairs and transverse fields on all qubits, every
-    angle scaled linearly with t in [0, 1]. The coupling strings' B-register
-    parts (Z1, Z2) are Hilbert-Schmidt orthogonal to the B-internal strings
-    (Z1Z2, X1, X2), which makes the normalized decay of the state-transfer
-    OTOC track the averaged-OTOC decay at leading order in t.
+    angle scaled linearly with t in [0, 1]. A is one qubit, so the
+    state-transfer OTOC's normalized decay equals the averaged OTOC's at
+    every t (scrambling.modified_otoc).
     """
     gates = [
         Gate("H", (0,)),

@@ -6,7 +6,7 @@ for the Haar measure. The 4^n strings on n qubits satisfy the twirl identity
     sum_P P (x) P = 2^n SWAP,
 
 which turns each string average into a contraction of U(t) with itself, and
-both OTOCs into norms of one Gram matrix. Realign U[(a',b'),(a,b)] into
+the average into a norm of one Gram matrix. Realign U[(a',b'),(a,b)] into
 Y[(a',a),(b',b)] and take G = qdense.gram(Y), which is Y Y^dag, on A's side,
 when d_A <= d_B; G / d is then the marginal of U's Choi state on A's output
 and input (Hosur, Qi, Roberts & Yoshida, JHEP 02 (2016) 004). In the
@@ -16,11 +16,10 @@ cut (Zanardi, PRA 63, 040304 (2001); Styliaris, Anand & Zanardi, PRL 126,
 
     Obar = |G|_F^2 / d^2,
 
-one minus the linear operator entanglement of U. For a single-qubit A, the
-state-transfer OTOC's K_j = tr_B(U (|0><j| x I_B) U^dag) is the a = 0 row
-block of G, K_j[x, z] = G[(x, 0), (z, j)]. No string is ever enumerated; the
-literal double sum over every (A-string, B-string) pair stays in
-tests/_oracles.py as the independent oracle.
+one minus the linear operator entanglement of U. For a single-qubit A and
+unitary U, the state-transfer OTOC is exactly half of it (modified_otoc). No
+string is ever enumerated; the literal double sum over every (A-string,
+B-string) pair stays in tests/_oracles.py as the independent oracle.
 """
 
 from __future__ import annotations
@@ -49,41 +48,41 @@ from .qdense import (
 )
 
 
-def _realigned_gram(part: Bipartition, u_t) -> ComplexMatrix:
-    """G = qdense.gram(Y) of U's realignment Y (module docstring), slice by slice."""
-    u_t = as_complex_stack(u_t)
-    if u_t.ndim > 3 or u_t.shape[-2:] != (part.dim, part.dim):
-        raise ValueError(f"unitary shape {u_t.shape} does not match partition dim {part.dim}")
-    d_a, d_b = part.dim_a, part.dim_b
-    lead = u_t.shape[:-2]
-    y = u_t.reshape(lead + (d_a, d_b, d_a, d_b)).swapaxes(-3, -2)
-    return gram(y.reshape(lead + (d_a * d_a, d_b * d_b)))
-
-
 def averaged_otoc(part: Bipartition, u_t: ComplexMatrix):
     """Pauli-group average of <O_A O_B(t) O_A O_B(t)>; equals 1 at t = 0.
 
     The expectation state is the maximally mixed one. ``u_t`` is one (d, d)
     unitary, giving a float, or a (T, d, d) stack, giving a (T,) array.
     """
-    return float_or_array(frobenius_sq(_realigned_gram(part, u_t)) / part.dim**2)
+    u_t = as_complex_stack(u_t)
+    if u_t.ndim > 3 or u_t.shape[-2:] != (part.dim, part.dim):
+        raise ValueError(f"unitary shape {u_t.shape} does not match partition dim {part.dim}")
+    d_a, d_b = part.dim_a, part.dim_b
+    lead = u_t.shape[:-2]
+    y = u_t.reshape(lead + (d_a, d_b, d_a, d_b)).swapaxes(-3, -2)
+    g = gram(y.reshape(lead + (d_a * d_a, d_b * d_b)))
+    return float_or_array(frobenius_sq(g) / part.dim**2)
 
 
 def modified_otoc(part: Bipartition, u_t: ComplexMatrix):
-    """State-transfer OTOC with O_1 = |0><phi| on the first qubit.
+    """State-transfer OTOC with O_1 = |0><phi| on the first qubit; averaged_otoc / 2.
 
     Averages over the six single-qubit stabilizer states phi and the
     B-register Pauli strings, in the maximally mixed expectation state. The
-    six phi resolve the identity, sum_phi phi phi^dag = 3 I, so the average
-    is sum_j |K_j|_F^2 / (2 d d_B), exactly 1/2 at t = 0; n_a = 1 puts G on
-    A's side, and the K_j are its a = 0 rows (module docstring). ``u_t`` is
-    one (d, d) unitary, giving a float, or a (T, d, d) stack, giving a (T,)
-    array.
+    six phi resolve the identity (sum_phi phi phi^dag = 3 I), so with
+    Phi(X) = tr_B(U (X x I_B) U^dag) the average is
+    sum_j |Phi(|0><j|)|_F^2 / (2 d d_B). For unitary U that is exactly
+    Obar / 2, because the rows a = 0 and 1 carry equal weight (d^2 Obar
+    together): Phi preserves Hermiticity, so Phi^dag Phi is real symmetric in
+    the Pauli basis, with I an eigenvector since Phi(I) = Phi^dag(I) = d_B I;
+    the two weights differ by the trace of Phi^dag Phi against X -> Z X,
+    which pairs only I with Z, and X with Y antisymmetrically, so it
+    vanishes. ``u_t`` is one (d, d) unitary, giving a float, or a (T, d, d)
+    stack, giving a (T,) array.
     """
     if part.n_a != 1:
         raise ValueError("the state-transfer OTOC requires a single-qubit A subsystem")
-    k = _realigned_gram(part, u_t)[..., ::2, :]
-    return float_or_array(frobenius_sq(k) / (2 * part.dim * part.dim_b))
+    return averaged_otoc(part, u_t) / 2
 
 
 def _unitary_supplier(h_or_unitary) -> Callable[[np.ndarray], ComplexMatrix]:

@@ -6,8 +6,8 @@ exceptions are instantaneous_basis and entropy_production_rates_literal: the
 rate channels depend on the eigenvectors chosen inside degenerate marginal
 eigenspaces, so both take the package's marginal eigensystems as given, and
 the rate oracle also takes the package's mutual-information rate. The random
-samplers the tests draw from (Haar unitaries and kets, Wishart densities) live
-here too; no program code uses them.
+samplers the tests draw from (Haar unitaries and kets, Wishart densities) and
+the |0...0> start live here too; no program code uses them.
 """
 
 from __future__ import annotations
@@ -52,6 +52,13 @@ def random_density(d: int, rng: np.random.Generator, rank: int | None = None) ->
     g = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
     rho = g @ g.conj().T
     return rho / rho.trace().real
+
+
+def zero_state(n: int) -> np.ndarray:
+    """The pure product start |0...0><0...0| on n qubits."""
+    rho = np.zeros((2**n, 2**n), dtype=complex)
+    rho[0, 0] = 1.0
+    return rho
 
 
 def kron_chain(labels: str) -> np.ndarray:

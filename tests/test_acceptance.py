@@ -129,13 +129,14 @@ def test_criterion_2_circuit_bound_and_modified_otoc(tmp_path):
     assert math.isclose(cols["t"][-1], 1.0)
     final_mi = cols["I"][-1]
     assert final_mi >= 0.9 * LN4
-    # first sample after the origin is where both decay channels first report
     assert cols["deltaO"][1] > 0
-    rel = abs(cols["deltaMO"][1] - cols["deltaO"][1]) / cols["deltaO"][1]
-    assert rel <= 0.05
+    # A is one qubit, so the modified OTOC is half the averaged one and its
+    # normalized decay repeats deltaO on every row, to rounding.
+    mo_gap = np.abs(cols["deltaMO"] - cols["deltaO"]).max()
+    assert mo_gap <= 1e-14
     print(
         f"criterion 2: slack9 min {slack_min:.3e}, I(1) = {final_mi:.4f} >= "
-        f"{0.9 * LN4:.4f}, deltaMO vs deltaO rel diff {rel:.2e} <= 5e-2"
+        f"{0.9 * LN4:.4f}, max |deltaMO - deltaO| {mo_gap:.2e} <= 1e-14"
     )
 
 

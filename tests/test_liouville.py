@@ -13,6 +13,7 @@ from _oracles import (
     kron,
     random_density,
     richardson_derivative,
+    zero_state,
 )
 from scramble import liouville
 from scramble.entropy import mutual_information
@@ -35,12 +36,6 @@ from scramble.qdense import (
     time_chunks,
     unitary_family,
 )
-
-
-def zero_state(n: int) -> np.ndarray:
-    rho = np.zeros((2**n, 2**n), dtype=complex)
-    rho[0, 0] = 1.0
-    return rho
 
 
 def test_regularize_mixes_toward_identity():

@@ -18,6 +18,7 @@ from _oracles import (
     jordan_wigner_majorana,
     kron_chain,
     syk_hamiltonian_literal,
+    zero_state,
 )
 from scramble import models, qdense
 from scramble.cli import parse_circuit_json
@@ -517,12 +518,6 @@ def test_average_reports_pointwise_mean():
     np.testing.assert_allclose(avg["deltaO"], [0.0, 0.2])
     np.testing.assert_allclose(avg["slack9"], avg["I"] - avg["deltaO"])
     np.testing.assert_array_equal(avg["t"], [0.0, 1.0])
-
-
-def zero_state(n: int) -> np.ndarray:
-    rho = np.zeros((2**n, 2**n), dtype=complex)
-    rho[0, 0] = 1.0
-    return rho
 
 
 def test_syk_trajectory_reports_and_average():

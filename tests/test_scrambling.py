@@ -11,6 +11,7 @@ from _oracles import (
     stabilizer_states,
     two_qubit_zz_averaged_otoc,
     two_qubit_zz_otoc,
+    zero_state,
 )
 from scramble.qdense import (
     SLACK_TOL,
@@ -132,7 +133,7 @@ def test_modified_otoc_half_at_time_zero():
     part = Bipartition(1, 2)
     h = random_hermitian(part.dim, seeded_rng(400))
     assert modified_otoc(part, unitary_family(*eigh(h))(0.0)) == pytest.approx(0.5, abs=1e-12)
-    # The row-block form sums exact integers at U = I.
+    # Half of the averaged OTOC's exact 1 at U = I.
     for n_b in (1, 4):
         assert modified_otoc(Bipartition(1, n_b), np.eye(2 ** (n_b + 1))) == 0.5
 
@@ -161,15 +162,19 @@ def test_modified_otoc_moment_form_matches_phi_loop(n_b, custom):
     assert abs(modified_otoc(part, u) - expected) <= 1e-13
 
 
+@pytest.mark.parametrize("n_b,seed", [(1, 0), (2, 1), (3, 2)])
+def test_modified_otoc_literal_is_half_the_averaged_literal(n_b, seed):
+    # The identity modified_otoc rests on, between the two independent
+    # oracles: at a single A qubit, every unitary gives M = Obar / 2.
+    u = haar_unitary(2 ** (n_b + 1), seeded_rng(503, seed))
+    psi = np.array([1.0, 0.0], dtype=complex)
+    modified = modified_otoc_literal(n_b, u, stabilizer_states(), psi)
+    assert abs(modified - averaged_otoc_literal(1, n_b, u).real / 2) <= 1e-14
+
+
 def test_modified_otoc_needs_single_qubit_a():
     with pytest.raises(ValueError, match="single-qubit"):
         modified_otoc(Bipartition(2, 1), np.eye(8))
-
-
-def zero_state(n: int) -> np.ndarray:
-    rho = np.zeros((2**n, 2**n), dtype=complex)
-    rho[0, 0] = 1.0
-    return rho
 
 
 def test_bound_report_grid_must_start_at_zero():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from _oracles import haar_unitary, instantaneous_basis, random_density
+from _oracles import haar_unitary, instantaneous_basis, random_density, zero_state
 from scramble import qdense
 from scramble.liouville import (
     bound8_report,
@@ -31,12 +31,6 @@ TIMES = np.linspace(0.0, 1.3, 6)
 
 def _close(stacked, slices):
     np.testing.assert_allclose(stacked, np.stack(slices), rtol=0, atol=TOL)
-
-
-def zero_state(n: int) -> np.ndarray:
-    rho = np.zeros((2**n, 2**n), dtype=complex)
-    rho[0, 0] = 1.0
-    return rho
 
 
 def test_qdense_stacks_match_slices():
