@@ -358,6 +358,12 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dict, str]:
 
     with _writing(csv_path):
         write_csv(csv_path, table)
+    # inf and nan fail no comparison in CHECKS, so a non-finite cell stops the run first.
+    for name in (c for c in COLUMNS if c in table):
+        bad = np.flatnonzero(~np.isfinite(table[name]))
+        if bad.size:
+            value, t = float(table[name][bad[0]]), float(table["t"][bad[0]])
+            raise AssertionViolation(f"{name} = {value} is not finite first at t = {t}")
     summary["first_violation_t"] = {}
     for name, (channel, fails, requirement, stops) in CHECKS.items():
         if channel not in table:

@@ -57,6 +57,13 @@ class SykConfig:
             raise ValueError("j_squared: must be positive")
         if self.realizations < 1:
             raise ValueError("realizations: must be at least 1")
+        try:
+            finite = math.isfinite(self.coupling_variance)
+        except OverflowError:  # (q-1)! or N^(q-1) alone is past the float range
+            finite = False
+        if not finite:
+            raise ValueError("j_squared: the coupling variance J^2 (q-1)!/N^(q-1) "
+                             "overflows a float")
 
     @property
     def n_qubits(self) -> int:

@@ -17,9 +17,11 @@ cut (Zanardi, PRA 63, 040304 (2001); Styliaris, Anand & Zanardi, PRL 126,
     Obar = |G|_F^2 / d^2,
 
 one minus the linear operator entanglement of U. For a single-qubit A and
-unitary U, the state-transfer OTOC is exactly half of it (modified_otoc). No
-string is ever enumerated; the literal double sum over every (A-string,
-B-string) pair stays in tests/_oracles.py as the independent oracle.
+unitary U, the state-transfer OTOC M is exactly half of it (modified_otoc),
+so a bound_report run that samples it reads Obar as 2 M, one Gram per chunk
+of U(t). No string is ever enumerated; the literal double sum over every
+(A-string, B-string) pair stays in tests/_oracles.py as the independent
+oracle.
 """
 
 from __future__ import annotations
@@ -111,6 +113,8 @@ def bound_report(
     deltaO, slack9 = I - deltaO, and deltaMO when ``include_modified`` is set;
     deltaMO = 1 - M(t)/M(0) with M = modified_otoc (O_1 = |0><phi| on the
     first qubit, averaged over the six stabilizer phi), so deltaMO(0) = 0.
+    Such a run takes Obar as 2 M, one Gram per chunk: halving and doubling
+    are exact, so Obar keeps its bits and deltaMO is 1 - Obar(t)/Obar(0).
     """
     times = check_time_grid(times)
     if times[0] != 0.0:
@@ -130,21 +134,18 @@ def bound_report(
     n, d = times.size, part.dim
     kets = np.empty((n, part.dim_a, part.dim_b), dtype=complex)
     obar = np.empty(n)
-    mo = np.empty(n) if include_modified else None
     for chunk in time_chunks(n, d * d):
         u = u_of_t(times[chunk])
         want = (chunk.stop - chunk.start, d, d)
         if np.shape(u) != want:
             raise ValueError(f"U(t) of {want[0]} times has shape {np.shape(u)}, expected {want}")
         kets[chunk] = (np.reshape(u, (-1, d)) @ psi_0).reshape(-1, part.dim_a, part.dim_b)
-        obar[chunk] = averaged_otoc(part, u)
-        if mo is not None:
-            mo[chunk] = modified_otoc(part, u)
+        obar[chunk] = 2 * modified_otoc(part, u) if include_modified else averaged_otoc(part, u)
     mi = mutual_information(kets, part)
     mi2 = renyi2_mutual_information(kets, part)
     delta_obar = obar[0] - obar
     table = {"t": times, "I": mi, "I2": mi2, "Obar": obar, "deltaO": delta_obar,
              "slack9": mi - delta_obar}
-    if mo is not None:
-        table["deltaMO"] = 1.0 - mo / mo[0]
+    if include_modified:
+        table["deltaMO"] = 1.0 - obar / obar[0]
     return table

@@ -493,6 +493,7 @@ def test_out_of_range_value_names_its_field(tmp_path, capsys, block, name, value
         (lambda c: c["partition"].update(n_b=4), "partition"),
         (lambda c: c["syk"].update(j_squared=float("nan")), "syk.j_squared: expected a finite"),
         (lambda c: c["syk"].update(j_squared=10**400), "syk.j_squared: expected a finite number"),
+        (lambda c: c["syk"].update(j_squared=1.7e308), "syk.j_squared: the coupling variance"),
         (lambda c: c["syk"].update(realisations=3), "syk.realisations: unknown field"),
         (lambda c: c.update(modified_otoc=True), "modified_otoc: unknown field"),
         (lambda c: c.update(model={"type": "random"}), "model: unknown field"),
@@ -771,6 +772,32 @@ def test_obar_outside_its_range_exits_3_naming_first_sample(
         err = capsys.readouterr().err
         assert f"Obar = {obar[1]!r} outside [1/min(d_A, d_B)^2, 1]" in err
         assert err.endswith("first at t = 0.2\n")
+
+
+@pytest.mark.parametrize("kind", ["circuit", "syk", "bound8"])
+def test_non_finite_channel_exits_3_naming_it(tmp_path, capsys, monkeypatch, kind):
+    # No check reads I2, and nan fails no comparison: the run must still stop.
+    fake = {"t": np.array([0.0, 0.2, 0.4]), "Obar": np.ones(3),
+            "I2": np.array([0.0, np.nan, np.inf])}
+    fake.update({name: np.zeros(3) for name in ("slack9", "slack8")})
+    code, output = fake_run(tmp_path, monkeypatch, kind, fake)
+    assert code == 3
+    assert capsys.readouterr().err.endswith("I2 = nan is not finite first at t = 0.2\n")
+    assert os.path.exists(output + ".csv") and not os.path.exists(output + ".json")
+
+
+def test_overflowing_rates_exit_3(tmp_path):
+    # At j = 1e306 the rate coefficients' products overflow, so slack8 is inf
+    # from t = 4, which `slack8 < SLACK_TOL` alone would not count. numpy
+    # warns of the overflow, so the run goes in a fresh interpreter.
+    cfg = {"kind": "bound8", "partition": {"n_a": 1, "n_b": 2},
+           "time_grid": {"start": 0.0, "stop": 8.0, "samples": 3},
+           "model": {"type": "ising_chain", "j": 1e306, "hx": 1.0}, "seed": 1,
+           "output": str(tmp_path / "ising")}
+    proc = fresh_python("-m", "scramble.cli", "run", write_config(tmp_path, cfg))
+    assert proc.returncode == 3
+    assert "assertion violation: slack8 = inf is not finite first at t = 4.0\n" in proc.stderr
+    assert (tmp_path / "ising.csv").exists() and not (tmp_path / "ising.json").exists()
 
 
 def test_state_form_violation_is_counted_not_asserted(tmp_path, capsys):

@@ -95,6 +95,8 @@ def syk_config(**overrides):
         (dict(q=8), "q: must be even"),
         (dict(j_squared=0.0), "positive"),
         (dict(realizations=0), "realizations"),
+        (dict(j_squared=1.7e308), "j_squared: the coupling variance"),
+        (dict(n_majorana=400, q=200), "j_squared: the coupling variance"),
     ],
 )
 def test_syk_config_validation(overrides, match):

@@ -237,6 +237,33 @@ def test_bound_report_channel_consistency():
     assert np.all(np.isfinite(rep["deltaMO"]))
 
 
+def test_state_transfer_run_forms_one_gram_per_chunk(monkeypatch):
+    # Obar is read as 2 M on a state-transfer run: halving and doubling are
+    # exact, so its bits and deltaMO's are those of the plain run's Obar.
+    from scramble import qdense, scrambling
+    from scramble.models import realize_circuit, scrambler_preset
+
+    part = Bipartition(1, 2)
+    spec = scrambler_preset()
+    times = np.linspace(0.0, 1.0, 11)
+    monkeypatch.setattr(qdense, "_STACK_ENTRIES", 4 * part.dim**2)
+    n_chunks = len(qdense.time_chunks(times.size, part.dim**2))
+    assert n_chunks == 3
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return averaged_otoc(*args)
+
+    monkeypatch.setattr(scrambling, "averaged_otoc", counted)
+    family = lambda t: realize_circuit(spec, t)
+    rep = bound_report(family, part, zero_state(3), times, include_modified=True)
+    assert len(calls) == n_chunks
+    plain = bound_report(family, part, zero_state(3), times)
+    assert np.array_equal(rep["Obar"], plain["Obar"])
+    assert np.array_equal(rep["deltaMO"], 1.0 - rep["Obar"] / rep["Obar"][0])
+
+
 def test_bound_report_slack_nonnegative_on_designed_scrambler():
     # Regression pin: the built-in scrambler satisfies the bound on this
     # window; catches sign or normalization slips in the slack channel.
