@@ -431,7 +431,10 @@ def cmd_run(ref: str) -> int:
         return _config_error(exc)
     json_path = cfg.output + ".json"
     try:
-        summary, csv_path = run_experiment(cfg)
+        # Every written column is checked for inf and nan, so numpy's float
+        # warnings would only repeat that message with library source lines.
+        with np.errstate(all="ignore"):
+            summary, csv_path = run_experiment(cfg)
         with _writing(json_path):
             _rewrite(json_path, json.dumps(summary, indent=2) + "\n")
     except ConfigError as exc:  # the output paths are checked at run time

@@ -3,7 +3,7 @@
 Conventions: row-major vec, |rho>_(r,c) = rho[r, c], so the von Neumann
 generator is W = -i (H x I - I x H^T) and vec(rho_dot) = W vec(rho). All
 rate channels are evaluated in the instantaneous product eigenbasis of the
-marginals, with eigenvalues sorted descending; the marginal eigenvalue
+marginals, with eigenvalues in eigh's ascending order; the marginal eigenvalue
 attached to Liouville index m = (r, c) is read off the row part r. The rate
 sums read one d x d table of W per sample.
 """
@@ -46,17 +46,12 @@ def regularize(rho: DensityMatrix, delta: float = DEFAULT_DELTA) -> DensityMatri
 
 
 def _full_rank_marginals(rho_s: DensityMatrix, part: Bipartition):
-    """Descending-eigenvalue eigensystems of both marginals, fixed phases.
+    """Eigensystems of both marginals as eigh gives them: ascending, fixed phases.
 
     Refuses a marginal with an eigenvalue below RANK_TOL.
     """
     wa, va = eigh(partial_trace(rho_s, part, "A"))
     wb, vb = eigh(partial_trace(rho_s, part, "B"))
-    # Eigenvalues copied out of the reversed view: np.log of one reversed row
-    # takes another code path than of a stack, which moved Idot by an ulp with
-    # the number of states per call.
-    wa, wb = np.ascontiguousarray(wa[..., ::-1]), np.ascontiguousarray(wb[..., ::-1])
-    va, vb = va[..., ::-1], vb[..., ::-1]
     for evals, label in ((wa, "A"), (wb, "B")):
         if evals.min() < RANK_TOL:
             raise ValueError(

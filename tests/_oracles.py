@@ -218,7 +218,7 @@ def two_qubit_zz_averaged_otoc(t: float) -> float:
 
 
 def instantaneous_basis(rho_s: np.ndarray, part) -> np.ndarray:
-    """V = V_A x V_B diagonalizing both marginals, eigenvalues descending."""
+    """V = V_A x V_B diagonalizing both marginals."""
     _, va, _, vb = _full_rank_marginals(np.asarray(rho_s, dtype=complex), part)
     return np.kron(va, vb)
 

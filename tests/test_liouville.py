@@ -52,7 +52,7 @@ def test_regularize_refuses_delta_outside_unit_interval(delta):
         regularize(zero_state(2), delta)
 
 
-def test_instantaneous_basis_diagonalizes_marginals_descending():
+def test_instantaneous_basis_diagonalizes_marginals():
     part = Bipartition(1, 2)
     rho = random_density(8, seeded_rng(900))
     basis = instantaneous_basis(rho, part)
@@ -63,8 +63,7 @@ def test_instantaneous_basis_diagonalizes_marginals_descending():
     rotated = basis.conj().T @ prod @ basis
     diag = np.diag(rotated).real
     np.testing.assert_allclose(rotated, np.diag(diag), atol=1e-12)
-    wa = np.sort(np.linalg.eigvalsh(rho_a))[::-1]
-    wb = np.sort(np.linalg.eigvalsh(rho_b))[::-1]
+    wa, wb = np.linalg.eigvalsh(rho_a), np.linalg.eigvalsh(rho_b)
     np.testing.assert_allclose(diag, np.outer(wa, wb).reshape(-1), atol=1e-12)
 
 
@@ -479,6 +478,32 @@ def test_rate_channels_without_pair_phases_ignore_eigenvector_phases():
         before, after = _rates_with_phased_eigenvectors(n_a, n_b)
         for key in ("Idot", "coeffA", "coeffB"):
             assert after[key] == pytest.approx(before[key], rel=1e-12, abs=1e-12), key
+
+
+def test_rate_channels_ignore_the_order_of_the_marginal_eigenpairs():
+    # Every rate sum runs over all ordered pairs of marginal eigenstates, so
+    # numbering them differently moves only the order of summation.
+    for n_a, n_b in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        part = Bipartition(n_a, n_b)
+        rng = seeded_rng(16)  # a seed at which no permutation is the identity
+        rho = random_density(part.dim, rng)
+        h = random_hermitian(part.dim, rng)
+        perm_a = rng.permutation(part.dim_a)
+        perm_b = rng.permutation(part.dim_b)
+        assert (perm_a != np.arange(part.dim_a)).any() and (perm_b != np.arange(part.dim_b)).any()
+        marginals = liouville._full_rank_marginals
+
+        def permuted(rho_s, part):
+            wa, va, wb, vb = marginals(rho_s, part)
+            return wa[..., perm_a], va[..., perm_a], wb[..., perm_b], vb[..., perm_b]
+
+        before = entropy_production_rates(h, rho, part)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(liouville, "_full_rank_marginals", permuted)
+            after = entropy_production_rates(h, rho, part)
+        assert after.keys() == before.keys() and len(before) == 9
+        for key in before:
+            assert after[key] == pytest.approx(before[key], rel=1e-12), (n_a, n_b, key)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
