@@ -27,6 +27,7 @@ from .qdense import (
     Bipartition,
     DensityMatrix,
     as_complex_matrix,
+    as_complex_stack,
     check_density_matrix,
     float_or_array,
     frobenius_sq,
@@ -47,7 +48,7 @@ def _clamp_entropy(values, name: str):
 
 def _check_state(rho: DensityMatrix, name: str) -> DensityMatrix:
     """check_density_matrix on exactly one state: these functionals take no stack."""
-    return check_density_matrix(as_complex_matrix(rho), name)
+    return check_density_matrix(as_complex_matrix(rho, name), name)
 
 
 def _von_neumann(rho: DensityMatrix):
@@ -90,14 +91,12 @@ def _ket_gram(psi: np.ndarray, part: Bipartition) -> np.ndarray:
         psi = psi.reshape(blocks)
     elif psi.shape[-2:] != blocks:
         raise ValueError(f"ket stack shape {psi.shape} does not match partition blocks {blocks}")
-    where = "" if psi.ndim == 2 else "[{}]"
-    bad = np.flatnonzero(~np.isfinite(psi).all(axis=(-2, -1)))
-    if bad.size:
-        raise ValueError(f"ket{where.format(bad[0])} has non-finite entries")
+    psi = as_complex_stack(psi, "ket")
     norm2 = frobenius_sq(psi).reshape(-1)
     bad = np.flatnonzero(np.abs(norm2 - 1.0) > TRACE_TOL)
     if bad.size:
-        raise ValueError(f"ket{where.format(bad[0])} squared norm {norm2[bad[0]]} differs from 1")
+        where = "" if psi.ndim == 2 else f"[{bad[0]}]"
+        raise ValueError(f"ket{where} squared norm {norm2[bad[0]]} differs from 1")
     return gram(psi)
 
 

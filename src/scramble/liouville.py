@@ -252,9 +252,9 @@ def bound8_report(
     chunk's rho(t) before bound_report reads U. A delta too small for the
     partition is refused at t = 0. Returns both channel tables as one.
     """
-    h = as_complex_matrix(h)
+    h = as_complex_matrix(h, "Hamiltonian")
     family = unitary_family(*eigh(h))
-    rho_0 = regularize(as_complex_matrix(initial), delta)
+    rho_0 = regularize(as_complex_matrix(initial, "initial"), delta)
     rates = []
 
     def u_of_t(t: np.ndarray) -> ComplexMatrix:

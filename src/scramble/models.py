@@ -107,18 +107,14 @@ def _pauli_sum(n_qubits: int, x: np.ndarray, z: np.ndarray, values: np.ndarray) 
     """H = sum_k values[k] X^x[k] Z^z[k], qubit 0 the most significant mask bit.
 
     X^x Z^z maps |j> to (-1)^|j & z| |j ^ x>, so term k adds values[k]
-    (-1)^|j & z[k]| to H[j ^ x[k], j] for every basis index j. The parity of
-    |j & z| is taken by folding bits, as np.bitwise_count needs numpy 2. Terms
-    are added in time_chunks (d entries per term), in term order, so H does
-    not depend on the chunk size.
+    (-1)^|j & z[k]| to H[j ^ x[k], j] for every basis index j, the sign from
+    np.bitwise_count's parity. Terms are added in time_chunks (d entries per
+    term), in term order, so H does not depend on the chunk size.
     """
     j = np.arange(2**n_qubits, dtype=np.uint64)
     h = np.zeros((j.size, j.size), dtype=complex)
     for terms in time_chunks(values.size, j.size):
-        v = j & z[terms, None]
-        for shift in (32, 16, 8, 4, 2, 1):
-            v ^= v >> np.uint64(shift)
-        signs = 1.0 - 2.0 * (v & np.uint64(1))  # float before subtracting: uint64 would wrap
+        signs = 1.0 - 2.0 * (np.bitwise_count(j & z[terms, None]) & 1)
         np.add.at(h, (j ^ x[terms, None], j), values[terms, None] * signs)
     return h
 

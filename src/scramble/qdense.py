@@ -77,19 +77,25 @@ class Bipartition:
         return self.n_a + self.n_b
 
 
-def as_complex_stack(a) -> ComplexMatrix:
-    """Coerce to a complex128 matrix or (..., n, m) stack of them, rejecting NaN/Inf."""
+def _labeled(name: str, m: np.ndarray, bad: np.ndarray) -> str:
+    """``name``, indexed on a stack by its first bad slice (flat over the leading axes)."""
+    return name if m.ndim == 2 else f"{name}[{bad[0]}]"
+
+
+def as_complex_stack(a, name: str = "matrix") -> ComplexMatrix:
+    """Coerce to a complex128 matrix or (..., n, m) stack; NaN/Inf raise, naming ``name``."""
     m = np.asarray(a, dtype=complex)
     if m.ndim < 2:
         raise ValueError(f"expected a matrix, got ndim={m.ndim}")
     if not np.isfinite(m).all():
-        raise ValueError("matrix has non-finite entries")
+        bad = np.flatnonzero(~np.isfinite(m).all(axis=(-2, -1)))
+        raise ValueError(f"{_labeled(name, m, bad)} has non-finite entries")
     return m
 
 
-def as_complex_matrix(a) -> ComplexMatrix:
+def as_complex_matrix(a, name: str = "matrix") -> ComplexMatrix:
     """Coerce to a 2-D complex128 array, rejecting NaN/Inf entries."""
-    m = as_complex_stack(a)
+    m = as_complex_stack(a, name)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={m.ndim}")
     return m
@@ -110,12 +116,15 @@ def gram(m: np.ndarray) -> np.ndarray:
 
 def check_hermitian(m: ComplexMatrix, name: str = "matrix") -> ComplexMatrix:
     """Coerce to a square complex matrix, or a stack of them, Hermitian to tolerance."""
-    m = as_complex_stack(m)
+    m = as_complex_stack(m, name)
     if m.shape[-2] != m.shape[-1]:
         raise ValueError(f"{name} must be square, got {m.shape}")
-    dev = np.abs(m - dagger(m)).max()
-    if dev > HERMITICITY_TOL:
-        raise ValueError(f"{name} not Hermitian: max deviation {dev:.3e}")
+    dev = np.abs(m - dagger(m))
+    if dev.max() > HERMITICITY_TOL:
+        dev = dev.max(axis=(-2, -1)).reshape(-1)
+        bad = np.flatnonzero(dev > HERMITICITY_TOL)
+        raise ValueError(f"{_labeled(name, m, bad)} not Hermitian: "
+                         f"max deviation {dev[bad[0]]:.3e}")
     return m
 
 
@@ -126,15 +135,14 @@ def check_density_matrix(rho: DensityMatrix, name: str = "rho") -> DensityMatrix
     the first failing slice by its flat index over the leading axes.
     """
     rho = check_hermitian(rho, name)
-    where = "" if rho.ndim == 2 else "[{}]"
     tr = np.trace(rho, axis1=-2, axis2=-1).reshape(-1)
     bad = np.flatnonzero(np.abs(tr - 1.0) > TRACE_TOL)
     if bad.size:
-        raise ValueError(f"{name}{where.format(bad[0])} trace {tr[bad[0]]} differs from 1")
+        raise ValueError(f"{_labeled(name, rho, bad)} trace {tr[bad[0]]} differs from 1")
     lowest = np.linalg.eigvalsh(rho)[..., 0].reshape(-1)
     bad = np.flatnonzero(lowest < EIGENVALUE_FLOOR)
     if bad.size:
-        raise ValueError(f"{name}{where.format(bad[0])} not positive semidefinite: "
+        raise ValueError(f"{_labeled(name, rho, bad)} not positive semidefinite: "
                          f"min eigenvalue {lowest[bad[0]]:.3e}")
     return rho
 
@@ -145,13 +153,9 @@ def float_or_array(values: np.ndarray):
 
 
 def frobenius_sq(m: np.ndarray) -> np.ndarray:
-    """|M|_F^2 of each matrix in a (..., n, k) stack.
-
-    One (1, nk) @ (nk, 1) product per slice: the same BLAS dot as np.vdot,
-    so the value is bitwise that of a single-matrix vdot.
-    """
-    row = m.reshape(m.shape[:-2] + (1, -1))
-    return (row.conj() @ row.swapaxes(-1, -2))[..., 0, 0].real
+    """|M|_F^2 of each matrix in a (..., n, k) stack: np.vecdot of each flat slice with itself."""
+    flat = m.reshape(m.shape[:-2] + (-1,))
+    return np.vecdot(flat, flat).real
 
 
 def check_time_grid(times) -> np.ndarray:

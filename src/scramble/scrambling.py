@@ -56,7 +56,7 @@ def averaged_otoc(part: Bipartition, u_t: ComplexMatrix):
     The expectation state is the maximally mixed one. ``u_t`` is one (d, d)
     unitary, giving a float, or a (T, d, d) stack, giving a (T,) array.
     """
-    u_t = as_complex_stack(u_t)
+    u_t = as_complex_stack(u_t, "unitary")
     if u_t.ndim > 3 or u_t.shape[-2:] != (part.dim, part.dim):
         raise ValueError(f"unitary shape {u_t.shape} does not match partition dim {part.dim}")
     d_a, d_b = part.dim_a, part.dim_b
@@ -91,7 +91,7 @@ def _unitary_supplier(h_or_unitary) -> Callable[[np.ndarray], ComplexMatrix]:
     """A map from a 1-D array of times to the (T, d, d) stack of U(t)."""
     if callable(h_or_unitary):
         return h_or_unitary
-    return unitary_family(*eigh(as_complex_matrix(h_or_unitary)))
+    return unitary_family(*eigh(as_complex_matrix(h_or_unitary, "Hamiltonian")))
 
 
 def bound_report(
@@ -119,7 +119,7 @@ def bound_report(
     times = check_time_grid(times)
     if times[0] != 0.0:
         raise ValueError("time grid must start at t = 0")
-    initial = check_density_matrix(as_complex_matrix(initial), "initial")
+    initial = check_density_matrix(as_complex_matrix(initial, "initial"), "initial")
     rho_a = partial_trace(initial, part, "A")
     if purity(initial) < 1.0 - PURITY_TOL:
         raise ValueError("initial state must be pure")

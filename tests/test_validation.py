@@ -135,6 +135,40 @@ def test_rate_entry_points_refuse_a_non_hermitian_hamiltonian(rate, h):
         rate(NON_HERMITIAN_H[h], rho, PART)
 
 
+def _states_with_slice_1(rho_1):
+    """Three maximally mixed 1|1 states, the middle one replaced by ``rho_1``."""
+    rho = np.stack([np.eye(PART.dim, dtype=complex) / PART.dim] * 3)
+    rho[1] = rho_1
+    return rho
+
+
+NAN_MATRIX = np.full((PART.dim, PART.dim), np.nan)
+NAMED_ERRORS = {
+    "initial_non_finite": (lambda: check_density_matrix(NAN_MATRIX, "initial"),
+                           r"initial has non-finite entries"),
+    "bound_report_initial_non_finite": (lambda: bound_report(H, PART, NAN_MATRIX, [0.0, 1.0]),
+                                        r"initial has non-finite entries"),
+    "rho_S_slice_non_finite": (
+        lambda: entropy_production_rates(H, _states_with_slice_1(NAN_MATRIX), PART),
+        r"rho_S\[1\] has non-finite entries"),
+    "rho_S_slice_non_hermitian": (
+        lambda: entropy_production_rates(H, _states_with_slice_1(_non_hermitian()), PART),
+        r"rho_S\[1\] not Hermitian: max deviation 1\.000e-01"),
+    "hamiltonian_non_finite": (lambda: entropy_production_rates(NAN_MATRIX, PURE_START, PART),
+                               r"Hamiltonian has non-finite entries"),
+    "bound8_report_hamiltonian_non_finite": (
+        lambda: bound8_report(NAN_MATRIX, PART, PURE_START, [0.0, 1.0]),
+        r"Hamiltonian has non-finite entries"),
+}
+
+
+@pytest.mark.parametrize("case", NAMED_ERRORS)
+def test_errors_name_the_argument_and_its_first_bad_slice(case):
+    call, message = NAMED_ERRORS[case]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 @pytest.fixture
 def density_checks(monkeypatch):
     """The states passed to check_density_matrix through every module that imports it.
